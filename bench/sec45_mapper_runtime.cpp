@@ -162,9 +162,11 @@ int main(int argc, char** argv) {
   const double speedup = warm_median > 0.0 ? cold_median / warm_median : 0.0;
   std::printf(
       "Step 4, cold (no cache): median %7.0f us  (%llu simulations, %llu "
-      "events per verification)\n",
+      "events per verification, %llu of them skipped by the periodic "
+      "fast-forward)\n",
       cold_median, static_cast<unsigned long long>(cold_outcome.simulations),
-      static_cast<unsigned long long>(cold_outcome.events_simulated));
+      static_cast<unsigned long long>(cold_outcome.events_simulated),
+      static_cast<unsigned long long>(cold_outcome.events_skipped));
   std::printf("Step 4, warm (cached):   median %7.0f us\n", warm_median);
   std::printf(
       "Warm/cold speedup %.1fx; cache hit rate %.2f, events saved %llu\n\n",
@@ -256,11 +258,12 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"step4\": {\"cold_us_median\": %.1f, \"warm_us_median\": "
                "%.1f, \"speedup\": %.2f, \"cold_simulations\": %llu, "
-               "\"cold_events\": %llu, \"cache_hit_rate\": %.4f, "
-               "\"events_saved\": %llu},\n",
+               "\"cold_events\": %llu, \"cold_events_skipped\": %llu, "
+               "\"cache_hit_rate\": %.4f, \"events_saved\": %llu},\n",
                cold_median, warm_median, speedup,
                static_cast<unsigned long long>(cold_outcome.simulations),
                static_cast<unsigned long long>(cold_outcome.events_simulated),
+               static_cast<unsigned long long>(cold_outcome.events_skipped),
                es.hit_rate(),
                static_cast<unsigned long long>(es.events_saved));
   std::fprintf(f,

@@ -41,7 +41,8 @@ Platform::Platform(std::string name, std::uint32_t mesh_width,
 TileTypeId Platform::add_tile_type(const std::string& name,
                                    std::uint64_t clock_hz) {
   for (const TileType& t : types_) {
-    require(t.name != name, "duplicate tile type '" + name + "'");
+    require(t.name != name,
+            [&] { return "duplicate tile type '" + name + "'"; });
   }
   require(clock_hz > 0, "tile type clock must be positive");
   types_.push_back(TileType{name, clock_hz});
@@ -54,10 +55,12 @@ TileId Platform::add_tile(const std::string& name, TileTypeId type,
                           std::uint32_t process_slots) {
   check_type(type);
   require(x < width_ && y < height_,
-          "tile '" + name + "' placed outside the mesh");
-  require(process_slots >= 1, "tile '" + name + "' needs >= 1 process slot");
+          [&] { return "tile '" + name + "' placed outside the mesh"; });
+  require(process_slots >= 1,
+          [&] { return "tile '" + name + "' needs >= 1 process slot"; });
   for (const Tile& t : tiles_) {
-    require(t.name != name, "duplicate tile name '" + name + "'");
+    require(t.name != name,
+            [&] { return "duplicate tile name '" + name + "'"; });
   }
   tiles_.push_back(Tile{name, type, x, y, memory_bytes, process_slots});
   const TileId id{static_cast<TileId::value_type>(tiles_.size() - 1)};

@@ -54,9 +54,10 @@ class Search {
         mapping_.assign(pid, impl, tile);
         break;
       }
-      require(mapping_.is_assigned(pid),
-              "exhaustive: fixture '" + p.name + "' has no implementation "
-              "for its pinned tile");
+      require(mapping_.is_assigned(pid), [&] {
+        return "exhaustive: fixture '" + p.name +
+               "' has no implementation for its pinned tile";
+      });
     }
     descend(0, 0.0);
     result_.nodes = nodes_;

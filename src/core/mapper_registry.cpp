@@ -9,7 +9,7 @@ bool MapperRegistry::add(const std::string& name, std::string description,
                          Factory factory) {
   require(!name.empty(), "mapper registration with empty name");
   require(static_cast<bool>(factory),
-          "mapper '" + name + "' registered without a factory");
+          [&] { return "mapper '" + name + "' registered without a factory"; });
   if (find(name) != nullptr) {
     // First registration wins; the collision is recorded, not thrown — a
     // registry assembled from several sources should surface the problem
@@ -36,7 +36,7 @@ std::unique_ptr<Mapper> MapperRegistry::create(const std::string& name) const {
 
 const std::string& MapperRegistry::description(const std::string& name) const {
   const Entry* entry = find(name);
-  require(entry != nullptr, "unknown mapper '" + name + "'");
+  require(entry != nullptr, [&] { return "unknown mapper '" + name + "'"; });
   return entry->description;
 }
 

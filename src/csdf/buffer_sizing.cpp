@@ -1,6 +1,7 @@
 #include "csdf/buffer_sizing.hpp"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -33,14 +34,23 @@ BufferSizingResult size_buffers(Graph& graph, const std::vector<EdgeId>& edges,
     }
   };
 
+  // Every simulation of this call, by capacity vector. The graph differs
+  // between runs only in the sized capacities and the simulator is
+  // deterministic, so a vector is simulated at most once: the final
+  // reporting run in particular repeats the search's last accepted trial.
+  std::map<std::vector<std::uint32_t>, SimulationResult> simulated;
   auto run_sim = [&](const std::vector<std::uint32_t>& caps)
-      -> SimulationResult {
+      -> const SimulationResult& {
     apply(caps);
-    SimulationResult sim = simulate(graph, *rv, config.reference,
-                                    config.simulation, config.probe);
-    ++result.simulations;
-    result.events_simulated += sim.events;
-    return sim;
+    const auto [it, fresh] = simulated.try_emplace(caps);
+    if (fresh) {
+      it->second = simulate(graph, *rv, config.reference, config.simulation,
+                            config.probe);
+      ++result.simulations;
+      result.events_simulated += it->second.events;
+      result.events_skipped += it->second.events_skipped;
+    }
+    return it->second;
   };
 
   auto meets = [&](const SimulationResult& sim) {
@@ -209,8 +219,9 @@ BufferSizingResult size_buffers(Graph& graph, const std::vector<EdgeId>& edges,
     return caps;
   };
 
-  // The final simulation always runs: it provides the reported period and
-  // latency with the chosen capacities applied to the graph.
+  // The final run provides the reported period and latency with the chosen
+  // capacities applied to the graph (simulated only when the search never
+  // did, i.e. when dominance implied the chosen vector's verdict).
   std::vector<std::uint32_t> caps = search(/*use_dominance=*/true);
   sim = run_sim(caps);
   if (!meets(sim)) {

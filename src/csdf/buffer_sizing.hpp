@@ -59,7 +59,8 @@ struct BufferSizingResult {
   /// Failure explanation when !feasible.
   std::string message;
 
-  /// Self-timed simulations actually executed.
+  /// Self-timed simulations actually executed (at most one per distinct
+  /// capacity vector).
   std::uint64_t simulations = 0;
 
   /// Feasibility verdicts implied by monotone dominance instead of a
@@ -69,6 +70,10 @@ struct BufferSizingResult {
   /// Total firings across all executed simulations (the cost metric the
   /// verification engine reports as saved on a cache hit).
   std::uint64_t events_simulated = 0;
+
+  /// Firings of events_simulated the simulator's periodic fast-forward
+  /// skipped instead of executing (SimulationResult::events_skipped).
+  std::uint64_t events_skipped = 0;
 
   /// True when a warm-start hint was applied.
   bool warm_started = false;

@@ -34,7 +34,8 @@ std::uint32_t Edge::max_consumption() const {
 }
 
 ActorId Graph::add_actor(std::string name, std::vector<std::uint64_t> wcet_ps) {
-  require(!wcet_ps.empty(), "CSDF actor '" + name + "' needs >= 1 phase");
+  require(!wcet_ps.empty(),
+          [&] { return "CSDF actor '" + name + "' needs >= 1 phase"; });
   actors_.push_back(Actor{std::move(name), std::move(wcet_ps)});
   in_.emplace_back();
   out_.emplace_back();
@@ -46,26 +47,31 @@ EdgeId Graph::add_edge(Edge edge) {
   check_actor(edge.dst);
   const Actor& src = actors_[edge.src.value()];
   const Actor& dst = actors_[edge.dst.value()];
-  require(edge.production.size() == src.phase_count(),
-          "edge '" + edge.name + "': production phases (" +
-              std::to_string(edge.production.size()) +
-              ") do not match source actor phases (" +
-              std::to_string(src.phase_count()) + ")");
-  require(edge.consumption.size() == dst.phase_count(),
-          "edge '" + edge.name + "': consumption phases (" +
-              std::to_string(edge.consumption.size()) +
-              ") do not match destination actor phases (" +
-              std::to_string(dst.phase_count()) + ")");
+  require(edge.production.size() == src.phase_count(), [&] {
+    return "edge '" + edge.name + "': production phases (" +
+           std::to_string(edge.production.size()) +
+           ") do not match source actor phases (" +
+           std::to_string(src.phase_count()) + ")";
+  });
+  require(edge.consumption.size() == dst.phase_count(), [&] {
+    return "edge '" + edge.name + "': consumption phases (" +
+           std::to_string(edge.consumption.size()) +
+           ") do not match destination actor phases (" +
+           std::to_string(dst.phase_count()) + ")";
+  });
   require(edge.tokens_per_src_cycle() > 0,
-          "edge '" + edge.name + "' never carries a token");
+          [&] { return "edge '" + edge.name + "' never carries a token"; });
   if (edge.capacity) {
     require(*edge.capacity >= edge.max_production() &&
                 *edge.capacity >= edge.max_consumption(),
-            "edge '" + edge.name + "': capacity " +
-                std::to_string(*edge.capacity) +
-                " below the largest single-phase transfer");
-    require(edge.initial_tokens <= *edge.capacity,
-            "edge '" + edge.name + "': initial tokens exceed capacity");
+            [&] {
+              return "edge '" + edge.name + "': capacity " +
+                     std::to_string(*edge.capacity) +
+                     " below the largest single-phase transfer";
+            });
+    require(edge.initial_tokens <= *edge.capacity, [&] {
+      return "edge '" + edge.name + "': initial tokens exceed capacity";
+    });
   }
   edges_.push_back(std::move(edge));
   const EdgeId id{static_cast<EdgeId::value_type>(edges_.size() - 1)};
@@ -89,10 +95,14 @@ void Graph::set_capacity(EdgeId id, std::optional<std::uint32_t> capacity) {
   Edge& e = edges_[id.value()];
   if (capacity) {
     require(*capacity >= e.max_production() && *capacity >= e.max_consumption(),
-            "edge '" + e.name + "': capacity " + std::to_string(*capacity) +
-                " below the largest single-phase transfer");
-    require(e.initial_tokens <= *capacity,
-            "edge '" + e.name + "': initial tokens exceed capacity");
+            [&] {
+              return "edge '" + e.name + "': capacity " +
+                     std::to_string(*capacity) +
+                     " below the largest single-phase transfer";
+            });
+    require(e.initial_tokens <= *capacity, [&] {
+      return "edge '" + e.name + "': initial tokens exceed capacity";
+    });
   }
   e.capacity = capacity;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "util/error.hpp"
 
@@ -137,6 +136,37 @@ struct Firing {
   }
 };
 
+/// Self-timed state at one reference-iteration completion, with where the
+/// run stood then. `state` is canonical, so two snapshots from which the
+/// rest of the run unfolds identically (up to a shift in time) compare
+/// equal: per actor its phase, its cycle counter modulo the repetition
+/// vector and the remaining time of its firing in flight (+1; 0 = idle),
+/// then per edge its tokens and reservations.
+struct Snapshot {
+  std::vector<std::uint64_t> state;
+  std::uint64_t iter = 0;
+  std::uint64_t now = 0;
+  std::uint64_t events = 0;
+  /// Latency-probe records logged so far.
+  std::uint64_t src_logged = 0;
+  std::uint64_t sink_logged = 0;
+  /// Absolute cycle counters.
+  std::vector<std::uint64_t> cycles;
+};
+
+/// Fills records[to, to + periods * (to - from)) from the one period of
+/// records logged in [from, to), each period @p span later than the one
+/// before; records beyond the array were never stored and stay so.
+void replicate(std::vector<std::uint64_t>& records, std::uint64_t from,
+               std::uint64_t to, std::uint64_t periods, std::uint64_t span) {
+  const std::uint64_t per_period = to - from;
+  const std::uint64_t end =
+      std::min<std::uint64_t>(to + periods * per_period, records.size());
+  for (std::uint64_t i = to; i < end; ++i) {
+    records[i] = records[i - per_period] + span;
+  }
+}
+
 }  // namespace
 
 SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
@@ -183,11 +213,16 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     sink_iter_end.assign(total_iters + 2, 0);
   }
 
-  std::priority_queue<Firing, std::vector<Firing>, std::greater<>> in_flight;
+  // Min-heap on (end time, actor) kept in a plain vector, so a
+  // fast-forward can shift every firing in flight in place.
+  std::vector<Firing> in_flight;
 
   SimulationResult result;
   result.measured_iterations_used = 0;
   std::uint64_t now = 0;
+  // Latency-probe records logged so far (next iteration index of each).
+  std::uint64_t src_logged = 0;
+  std::uint64_t sink_logged = 0;
 
   auto can_start = [&](std::uint32_t a) -> bool {
     if (busy[a]) return false;
@@ -219,9 +254,11 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
         cycles_done[a] % src_cycles_per_iter == 0) {
       const std::uint64_t iter = cycles_done[a] / src_cycles_per_iter;
       if (iter < src_iter_start.size()) src_iter_start[iter] = now;
+      src_logged = iter + 1;
     }
     busy[a] = 1;
-    in_flight.push(Firing{now + fg.wcet_ps[fg.wcet_off[a] + k], a});
+    in_flight.push_back(Firing{now + fg.wcet_ps[fg.wcet_off[a] + k], a});
+    std::push_heap(in_flight.begin(), in_flight.end(), std::greater<>{});
   };
 
   // Worklist-driven enabling. Only two events can enable an actor:
@@ -285,6 +322,84 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     return spans == 0 ? t_begin : (t_end - t_begin + spans - 1) / spans;
   };
 
+  // Periodic fast-forward. Self-timed execution is deterministic, so once
+  // the state at a reference-iteration completion recurs, everything
+  // between the two occurrences repeats forever, shifted in time: the
+  // periodic regime of Ghamarian et al. (ACSD 2006). A snapshot is taken at
+  // each completion, before the completion logs its own records. On the
+  // first recurrence whole periods are skipped: time, the firings in
+  // flight, the cycle counters and the event count advance, and the
+  // iteration records the skipped periods would have logged are copied
+  // from the period just simulated. The skip stops short of the final
+  // reference iteration and of the event limit, so the run ends firing by
+  // firing with the same result as without the skip. The adaptive window
+  // judges every iteration's own span, so it never skips.
+  bool record_snapshots = !config.adaptive();
+  std::vector<Snapshot> snapshots;
+  auto take_snapshot = [&](std::uint64_t iter) {
+    Snapshot snap;
+    snap.state.reserve(3 * num_actors + 2 * num_edges);
+    for (std::size_t a = 0; a < num_actors; ++a) {
+      snap.state.push_back(phase[a]);
+      snap.state.push_back(cycles_done[a] % rv.cycles[a]);
+      snap.state.push_back(0);
+    }
+    for (const Firing& f : in_flight) {
+      snap.state[3 * std::size_t{f.actor} + 2] = f.end_ps - now + 1;
+    }
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      snap.state.push_back(tokens[e]);
+      snap.state.push_back(reserved[e]);
+    }
+    snap.iter = iter;
+    snap.now = now;
+    snap.events = result.events;
+    snap.src_logged = src_logged;
+    snap.sink_logged = sink_logged;
+    snap.cycles = cycles_done;
+    return snap;
+  };
+  // Called at the completion of reference iteration @p iter. Returns the
+  // (possibly advanced) iteration the run now stands at.
+  auto fast_forward = [&](std::uint64_t iter) -> std::uint64_t {
+    Snapshot snap = take_snapshot(iter);
+    const auto prev =
+        std::find_if(snapshots.begin(), snapshots.end(),
+                     [&](const Snapshot& s) { return s.state == snap.state; });
+    if (prev == snapshots.end()) {
+      snapshots.push_back(std::move(snap));
+      return iter;
+    }
+    const std::uint64_t iters = iter - prev->iter;
+    const std::uint64_t span = now - prev->now;
+    const std::uint64_t events = result.events - prev->events;
+    // Land at most on the second-to-last iteration and below the limit.
+    std::uint64_t periods = 0;
+    if (iter + 2 <= total_iters && result.events < config.max_events) {
+      periods = std::min((total_iters - 2 - iter) / iters,
+                         (config.max_events - 1 - result.events) / events);
+    }
+    if (periods > 0) {
+      replicate(ref_iter_end, prev->iter, iter, periods, span);
+      if (probe) {
+        replicate(src_iter_start, prev->src_logged, src_logged, periods, span);
+        replicate(sink_iter_end, prev->sink_logged, sink_logged, periods,
+                  span);
+      }
+      for (std::size_t a = 0; a < num_actors; ++a) {
+        cycles_done[a] += periods * (cycles_done[a] - prev->cycles[a]);
+      }
+      for (Firing& f : in_flight) f.end_ps += periods * span;
+      now += periods * span;
+      result.events += periods * events;
+      result.events_skipped += periods * events;
+      iter += periods * iters;
+    }
+    record_snapshots = false;
+    std::vector<Snapshot>().swap(snapshots);
+    return iter;
+  };
+
   for (std::size_t a = 0; a < num_actors; ++a) {
     ready.push(static_cast<std::uint32_t>(a));
   }
@@ -298,8 +413,9 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
       result.end_time_ps = now;
       return result;
     }
-    const Firing f = in_flight.top();
-    in_flight.pop();
+    std::pop_heap(in_flight.begin(), in_flight.end(), std::greater<>{});
+    const Firing f = in_flight.back();
+    in_flight.pop_back();
     now = f.end_ps;
     ++result.events;
 
@@ -316,7 +432,8 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     if (phase[a] == 0) {
       ++cycles_done[a];
       if (a == ref && cycles_done[a] % ref_cycles_per_iter == 0) {
-        const std::uint64_t iter = cycles_done[a] / ref_cycles_per_iter - 1;
+        std::uint64_t iter = cycles_done[a] / ref_cycles_per_iter - 1;
+        if (record_snapshots) iter = fast_forward(iter);
         if (iter < total_iters) ref_iter_end[iter] = now;
         if (iter + 1 > w) {
           const auto m_done = static_cast<std::uint32_t>(iter + 1 - w);
@@ -351,6 +468,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
           cycles_done[a] % sink_cycles_per_iter == 0) {
         const std::uint64_t iter = cycles_done[a] / sink_cycles_per_iter - 1;
         if (iter < sink_iter_end.size()) sink_iter_end[iter] = now;
+        sink_logged = iter + 1;
       }
     }
 

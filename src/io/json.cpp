@@ -47,7 +47,8 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
 const JsonValue& JsonValue::at(const std::string& key) const {
   if (kind_ != Kind::Object) kind_error("object", kind_);
   const auto it = object_.find(key);
-  require(it != object_.end(), "JSON object has no key \"" + key + "\"");
+  require(it != object_.end(),
+          [&] { return "JSON object has no key \"" + key + "\""; });
   return it->second;
 }
 
@@ -71,9 +72,10 @@ class JsonParser {
   JsonValue parse_document() {
     JsonValue value = parse_value();
     skip_ws();
-    require(pos_ == text_.size(),
-            "trailing garbage after JSON document at byte " +
-                std::to_string(pos_));
+    require(pos_ == text_.size(), [&] {
+      return "trailing garbage after JSON document at byte " +
+             std::to_string(pos_);
+    });
     return value;
   }
 

@@ -31,7 +31,7 @@ std::string encode_rates(const std::vector<std::uint32_t>& values) {
 std::string quoted(const std::string& s) {
   // Names never contain quotes in this library; assert rather than escape.
   require(s.find('"') == std::string::npos,
-          "serialised names must not contain quotes: " + s);
+          [&] { return "serialised names must not contain quotes: " + s; });
   return "\"" + s + "\"";
 }
 
@@ -61,8 +61,9 @@ class Tokens {
       }
       if (ch == '"') {
         const std::size_t end = text.find('"', i + 1);
-        require(end != std::string::npos,
-                "line " + std::to_string(line) + ": unterminated string");
+        require(end != std::string::npos, [&] {
+          return "line " + std::to_string(line) + ": unterminated string";
+        });
         tokens_.push_back({text.substr(i + 1, end - i - 1), line, true});
         i = end + 1;
         continue;
@@ -92,8 +93,10 @@ class Tokens {
 
   void expect(const std::string& word) {
     const std::string got = next();
-    require(got == word, "line " + std::to_string(line()) + ": expected '" +
-                             word + "', got '" + got + "'");
+    require(got == word, [&] {
+      return "line " + std::to_string(line()) + ": expected '" + word +
+             "', got '" + got + "'";
+    });
   }
 
   std::uint64_t next_u64() {
@@ -101,9 +104,10 @@ class Tokens {
     std::uint64_t value = 0;
     const auto [ptr, ec] =
         std::from_chars(word.data(), word.data() + word.size(), value);
-    require(ec == std::errc{} && ptr == word.data() + word.size(),
-            "line " + std::to_string(line()) + ": expected integer, got '" +
-                word + "'");
+    require(ec == std::errc{} && ptr == word.data() + word.size(), [&] {
+      return "line " + std::to_string(line()) + ": expected integer, got '" +
+             word + "'";
+    });
     return value;
   }
 
@@ -143,9 +147,10 @@ std::vector<std::uint32_t> decode_rates(const std::string& word,
     std::uint32_t value = 0;
     const auto [ptr, ec] =
         std::from_chars(word.data() + i, word.data() + word.size(), value);
-    require(ec == std::errc{} && ptr != word.data() + i,
-            "line " + std::to_string(line) + ": bad " + what + " in rates '" +
-                word + "'");
+    require(ec == std::errc{} && ptr != word.data() + i, [&] {
+      return "line " + std::to_string(line) + ": bad " + what + " in rates '" +
+             word + "'";
+    });
     i = static_cast<std::size_t>(ptr - word.data());
     return value;
   };
@@ -158,13 +163,16 @@ std::vector<std::uint32_t> decode_rates(const std::string& word,
     }
     for (std::uint32_t r = 0; r < repeat; ++r) out.push_back(value);
     if (i < word.size()) {
-      require(word[i] == ',', "line " + std::to_string(line) +
-                                  ": expected ',' in rates '" + word + "'");
+      require(word[i] == ',', [&] {
+        return "line " + std::to_string(line) + ": expected ',' in rates '" +
+               word + "'";
+      });
       ++i;
     }
   }
-  require(!out.empty(),
-          "line " + std::to_string(line) + ": empty rate vector");
+  require(!out.empty(), [&] {
+    return "line " + std::to_string(line) + ": empty rate vector";
+  });
   return out;
 }
 

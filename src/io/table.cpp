@@ -19,9 +19,10 @@ void TablePrinter::align_right(std::size_t column) {
 }
 
 void TablePrinter::add_row(std::vector<std::string> row) {
-  require(row.size() == header_.size(),
-          "table row has " + std::to_string(row.size()) + " cells, expected " +
-              std::to_string(header_.size()));
+  require(row.size() == header_.size(), [&] {
+    return "table row has " + std::to_string(row.size()) + " cells, expected " +
+           std::to_string(header_.size());
+  });
   rows_.push_back(std::move(row));
 }
 

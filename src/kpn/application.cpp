@@ -15,7 +15,8 @@ Application::Application(std::string name, QosConstraints qos)
 
 ProcessId Application::add_process(const std::string& name) {
   for (const Process& p : processes_) {
-    require(p.name != name, "duplicate process name '" + name + "'");
+    require(p.name != name,
+            [&] { return "duplicate process name '" + name + "'"; });
   }
   processes_.push_back(Process{name, {}, std::nullopt});
   in_channels_.emplace_back();
@@ -70,8 +71,9 @@ const Channel& Application::channel(ChannelId id) const {
 const Implementation& Application::implementation(ProcessId process,
                                                   ImplementationId impl) const {
   const Process& p = this->process(process);
-  require(impl.valid() && impl.value() < p.implementations.size(),
-          "implementation id out of range for process '" + p.name + "'");
+  require(impl.valid() && impl.value() < p.implementations.size(), [&] {
+    return "implementation id out of range for process '" + p.name + "'";
+  });
   return p.implementations[impl.value()];
 }
 
@@ -130,28 +132,32 @@ std::uint64_t Application::cycles_per_symbol(ProcessId process,
   auto account = [&](const PortSpec& port) {
     const Channel& c = channel(port.channel);
     const std::uint64_t per_cycle = Implementation::tokens_per_cycle(port);
-    require(per_cycle > 0, "implementation '" + im.name + "': dead port");
-    require(c.tokens_per_symbol % per_cycle == 0,
-            "implementation '" + im.name + "': " +
-                std::to_string(c.tokens_per_symbol) +
-                " tokens/symbol on channel '" + c.name +
-                "' is not a multiple of " + std::to_string(per_cycle) +
-                " tokens/cycle");
+    require(per_cycle > 0,
+            [&] { return "implementation '" + im.name + "': dead port"; });
+    require(c.tokens_per_symbol % per_cycle == 0, [&] {
+      return "implementation '" + im.name + "': " +
+             std::to_string(c.tokens_per_symbol) +
+             " tokens/symbol on channel '" + c.name +
+             "' is not a multiple of " + std::to_string(per_cycle) +
+             " tokens/cycle";
+    });
     const std::uint64_t n = c.tokens_per_symbol / per_cycle;
-    require(!cycles || *cycles == n,
-            "implementation '" + im.name +
-                "': ports imply different cycles-per-symbol counts");
+    require(!cycles || *cycles == n, [&] {
+      return "implementation '" + im.name +
+             "': ports imply different cycles-per-symbol counts";
+    });
     cycles = n;
   };
   for (const PortSpec& port : im.inputs) account(port);
   for (const PortSpec& port : im.outputs) account(port);
   require(cycles.has_value(),
-          "implementation '" + im.name + "' has no ports");
+          [&] { return "implementation '" + im.name + "' has no ports"; });
   return *cycles;
 }
 
 void Application::validate() const {
-  require(!processes_.empty(), "application '" + name_ + "' has no processes");
+  require(!processes_.empty(),
+          [&] { return "application '" + name_ + "' has no processes"; });
 
   // Topology: weak connectivity over the KPN.
   graph::Digraph g;
@@ -159,14 +165,15 @@ void Application::validate() const {
   for (const Channel& c : channels_) {
     g.add_arc(NodeId{c.src.value()}, NodeId{c.dst.value()});
   }
-  require(g.is_weakly_connected(),
-          "application '" + name_ + "' is not weakly connected");
+  require(g.is_weakly_connected(), [&] {
+    return "application '" + name_ + "' is not weakly connected";
+  });
 
   for (std::size_t pi = 0; pi < processes_.size(); ++pi) {
     const Process& p = processes_[pi];
     const ProcessId pid{static_cast<ProcessId::value_type>(pi)};
     require(!p.implementations.empty(),
-            "process '" + p.name + "' has no implementation");
+            [&] { return "process '" + p.name + "' has no implementation"; });
 
     for (std::size_t ii = 0; ii < p.implementations.size(); ++ii) {
       const Implementation& im = p.implementations[ii];
@@ -176,19 +183,23 @@ void Application::validate() const {
       auto check_ports = [&](const std::vector<PortSpec>& ports,
                              const std::vector<ChannelId>& expected,
                              const char* direction) {
-        require(ports.size() == expected.size(),
-                "implementation '" + im.name + "' covers " +
-                    std::to_string(ports.size()) + " " + direction +
-                    " ports, process has " + std::to_string(expected.size()));
+        require(ports.size() == expected.size(), [&] {
+          return "implementation '" + im.name + "' covers " +
+                 std::to_string(ports.size()) + " " + direction +
+                 " ports, process has " + std::to_string(expected.size());
+        });
         std::unordered_set<ChannelId> seen;
         for (const PortSpec& port : ports) {
           check_channel(port.channel);
-          require(seen.insert(port.channel).second,
-                  "implementation '" + im.name + "' binds channel twice");
+          require(seen.insert(port.channel).second, [&] {
+            return "implementation '" + im.name + "' binds channel twice";
+          });
           require(std::find(expected.begin(), expected.end(), port.channel) !=
                       expected.end(),
-                  "implementation '" + im.name +
-                      "' binds a channel not connected to its process");
+                  [&] {
+                    return "implementation '" + im.name +
+                           "' binds a channel not connected to its process";
+                  });
         }
       };
       check_ports(im.inputs, in_channels_[pi], "input");
@@ -203,13 +214,15 @@ void Application::validate() const {
 }
 
 void Application::check_process(ProcessId id) const {
-  require(id.valid() && id.value() < processes_.size(),
-          "process id out of range in application '" + name_ + "'");
+  require(id.valid() && id.value() < processes_.size(), [&] {
+    return "process id out of range in application '" + name_ + "'";
+  });
 }
 
 void Application::check_channel(ChannelId id) const {
-  require(id.valid() && id.value() < channels_.size(),
-          "channel id out of range in application '" + name_ + "'");
+  require(id.valid() && id.value() < channels_.size(), [&] {
+    return "channel id out of range in application '" + name_ + "'";
+  });
 }
 
 }  // namespace rtsm::kpn

@@ -16,24 +16,29 @@ std::uint64_t Implementation::tokens_per_cycle(const PortSpec& port) {
 }
 
 void Implementation::validate_shape() const {
-  require(!wcet_cc.empty(), "implementation '" + name + "' has no phases");
+  require(!wcet_cc.empty(),
+          [&] { return "implementation '" + name + "' has no phases"; });
   const std::size_t n = wcet_cc.size();
   for (const auto& port : inputs) {
-    require(port.rates.size() == n,
-            "implementation '" + name +
-                "': input port phase count mismatches WCET phases");
-    require(tokens_per_cycle(port) > 0,
-            "implementation '" + name + "': input port never reads a token");
+    require(port.rates.size() == n, [&] {
+      return "implementation '" + name +
+             "': input port phase count mismatches WCET phases";
+    });
+    require(tokens_per_cycle(port) > 0, [&] {
+      return "implementation '" + name + "': input port never reads a token";
+    });
   }
   for (const auto& port : outputs) {
-    require(port.rates.size() == n,
-            "implementation '" + name +
-                "': output port phase count mismatches WCET phases");
-    require(tokens_per_cycle(port) > 0,
-            "implementation '" + name + "': output port never writes a token");
+    require(port.rates.size() == n, [&] {
+      return "implementation '" + name +
+             "': output port phase count mismatches WCET phases";
+    });
+    require(tokens_per_cycle(port) > 0, [&] {
+      return "implementation '" + name + "': output port never writes a token";
+    });
   }
   require(energy_nj_per_symbol >= 0.0,
-          "implementation '" + name + "': negative energy");
+          [&] { return "implementation '" + name + "': negative energy"; });
 }
 
 PhaseRates phases(std::initializer_list<PhaseRun> runs) {

@@ -211,9 +211,10 @@ Schedule read_schedule(const io::JsonValue& doc) {
   }
   auto app_at = [&](const io::JsonValue& index) {
     const std::uint64_t i = index.as_uint();
-    require(i < apps.size(), "scenario event references app " +
-                                 std::to_string(i) + " of " +
-                                 std::to_string(apps.size()));
+    require(i < apps.size(), [&] {
+      return "scenario event references app " + std::to_string(i) + " of " +
+             std::to_string(apps.size());
+    });
     return apps[static_cast<std::size_t>(i)];
   };
 
@@ -294,9 +295,10 @@ std::string schedule_to_json(const Schedule& schedule) {
 
 Schedule schedule_from_json(const std::string& text) {
   const io::JsonValue doc = io::parse_json(text);
-  require(doc.at("format").as_string() == kTraceFormat,
-          "not a scenario trace: format \"" + doc.at("format").as_string() +
-              "\"");
+  require(doc.at("format").as_string() == kTraceFormat, [&] {
+    return "not a scenario trace: format \"" + doc.at("format").as_string() +
+           "\"";
+  });
   return read_schedule(doc);
 }
 
@@ -313,9 +315,10 @@ std::string trace_to_json(const ScenarioTrace& trace) {
 
 ScenarioTrace trace_from_json(const std::string& text) {
   const io::JsonValue doc = io::parse_json(text);
-  require(doc.at("format").as_string() == kTraceFormat,
-          "not a scenario trace: format \"" + doc.at("format").as_string() +
-              "\"");
+  require(doc.at("format").as_string() == kTraceFormat, [&] {
+    return "not a scenario trace: format \"" + doc.at("format").as_string() +
+           "\"";
+  });
   ScenarioTrace trace;
   if (doc.has("seed")) trace.seed = doc.at("seed").as_uint();
   trace.schedule = read_schedule(doc);

@@ -113,6 +113,7 @@ std::string StatsReport::to_json() const {
       << ",\"warm_started\":" << verification.warm_started
       << ",\"simulations\":" << verification.simulations
       << ",\"events_simulated\":" << verification.events_simulated
+      << ",\"events_skipped\":" << verification.events_skipped
       << ",\"simulations_saved\":" << verification.simulations_saved
       << ",\"events_saved\":" << verification.events_saved << "}";
 

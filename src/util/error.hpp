@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace rtsm {
 
@@ -17,16 +18,23 @@ class Error : public std::runtime_error {
 };
 
 /// Throws rtsm::Error with @p message when @p condition is false.
-inline void require(bool condition, const std::string& message) {
+///
+/// A failure message is either a string literal (this overload) or a
+/// callable that builds it (the one below), which runs only once the check
+/// has failed. There is deliberately no std::string overload: contract
+/// checks sit on the mapper's hot path (step 2 probes every candidate
+/// through them), and a message concatenated eagerly costs a heap
+/// allocation on every passing call.
+inline void require(bool condition, const char* message) {
   if (!condition) throw Error(message);
 }
 
-/// Literal-message overload: no std::string is materialized on the
-/// passing path. The resource-state mutators sit on the admission hot
-/// path (journal replay runs them thousands of times per second), where
-/// even an SSO construction per check is measurable.
-inline void require(bool condition, const char* message) {
-  if (!condition) throw Error(message);
+/// Lazy-message overload: @p make_message is invoked, and its string
+/// allocated, only when @p condition is false.
+template <class MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+inline void require(bool condition, MakeMessage&& make_message) {
+  if (!condition) throw Error(make_message());
 }
 
 }  // namespace rtsm

@@ -15,7 +15,7 @@ using Int128 = __int128;
 std::int64_t checked_narrow(Int128 v, const char* context) {
   require(v >= std::numeric_limits<std::int64_t>::min() &&
               v <= std::numeric_limits<std::int64_t>::max(),
-          std::string("Rational overflow in ") + context);
+          [&] { return std::string("Rational overflow in ") + context; });
   return static_cast<std::int64_t>(v);
 }
 
@@ -55,7 +55,8 @@ Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
 }
 
 std::int64_t Rational::to_integer() const {
-  require(den_ == 1, "Rational::to_integer on non-integer " + to_string());
+  require(den_ == 1,
+          [&] { return "Rational::to_integer on non-integer " + to_string(); });
   return num_;
 }
 

@@ -88,6 +88,7 @@ VerificationOutcome compute_verification(
   out.latency_ps = sizing.latency_ps;
   out.simulations = sizing.simulations;
   out.events_simulated = sizing.events_simulated;
+  out.events_skipped = sizing.events_skipped;
   out.warm_started = sizing.warm_started;
   if (sizing.feasible) {
     out.buffer_tokens = sizing.capacities;
@@ -144,6 +145,7 @@ std::shared_ptr<const VerificationOutcome> Engine::verify(
     if (outcome->warm_started) ++stats_.warm_started;
     stats_.simulations += outcome->simulations;
     stats_.events_simulated += outcome->events_simulated;
+    stats_.events_skipped += outcome->events_skipped;
     if (options_.warm_start && outcome->feasible) {
       const auto [it, inserted] =
           warm_hints_.insert_or_assign(skeleton, outcome->buffer_tokens);

@@ -14,7 +14,8 @@ namespace rtsm::verify {
 
 /// Tuning of the verification engine.
 struct EngineOptions {
-  /// Cache bound (FIFO eviction beyond it).
+  /// Bound of the outcome cache (least-recently-used eviction beyond it)
+  /// and of the warm-hint map (first-in first-out eviction).
   std::size_t max_entries = 1024;
 
   /// Memoize outcomes by structural signature.
@@ -39,9 +40,12 @@ struct EngineStats {
   /// Misses that started from a warm hint.
   std::uint64_t warm_started = 0;
 
-  /// Simulations / firings actually executed by misses.
+  /// Simulations / firings of the simulated schedules run by misses.
   std::uint64_t simulations = 0;
   std::uint64_t events_simulated = 0;
+
+  /// Firings of events_simulated the periodic fast-forward skipped.
+  std::uint64_t events_skipped = 0;
 
   /// Simulations / firings the cached computation of each hit originally
   /// cost — a (conservative) lower bound on the work every hit saved:
@@ -99,9 +103,10 @@ class Engine {
   mutable audit::Mutex mutex_{audit::LockRank::kVerifyEngine,
                               "verify.engine"};
   EngineStats stats_ RTSM_GUARDED_BY(mutex_);
-  /// Last feasible buffer capacities per application skeleton, bounded
-  /// like the cache (FIFO eviction at options_.max_entries) so a stream
-  /// of distinct applications cannot grow the engine without limit.
+  /// Last feasible buffer capacities per application skeleton, bounded at
+  /// options_.max_entries like the cache but evicted first-in first-out
+  /// (the cache itself is LRU), so a stream of distinct applications
+  /// cannot grow the engine without limit.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> warm_hints_
       RTSM_GUARDED_BY(mutex_);
   std::deque<std::uint64_t> warm_hint_order_ RTSM_GUARDED_BY(mutex_);

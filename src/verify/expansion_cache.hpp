@@ -46,6 +46,10 @@ struct VerificationOutcome {
   std::uint64_t simulations = 0;
   std::uint64_t events_simulated = 0;
 
+  /// Firings of events_simulated skipped by the simulator's periodic
+  /// fast-forward rather than executed.
+  std::uint64_t events_skipped = 0;
+
   /// True when the computation was warm-started from a previous feasible
   /// solution's capacities.
   bool warm_started = false;

@@ -47,6 +47,34 @@ TEST(CsdfGraph, ActorByName) {
   EXPECT_THROW((void)g.actor_by_name("z"), Error);
 }
 
+TEST(CsdfGraph, SetCapacityRejectionMessages) {
+  Graph g;
+  const ActorId a = g.add_actor("a", {10});
+  const ActorId b = g.add_actor("b", {5});
+  Edge e;
+  e.name = "a->b";
+  e.src = a;
+  e.dst = b;
+  e.production = {8};
+  e.consumption = {2};
+  e.initial_tokens = 10;
+  const EdgeId id = g.add_edge(e);
+  auto text = [&](std::uint32_t capacity) -> std::string {
+    try {
+      g.set_capacity(id, capacity);
+    } catch (const Error& err) {
+      return err.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(text(7),
+            "edge 'a->b': capacity 7 below the largest single-phase "
+            "transfer");
+  EXPECT_EQ(text(9), "edge 'a->b': initial tokens exceed capacity");
+  EXPECT_EQ(text(10), "");
+  EXPECT_EQ(g.edge(id).capacity, std::optional<std::uint32_t>{10});
+}
+
 Graph producer_consumer(std::uint32_t prod, std::uint32_t cons) {
   Graph g;
   const ActorId a = g.add_actor("P", {100});

@@ -48,6 +48,31 @@ TEST(BufferSizing, FindsFeasibleCapacities) {
   }
 }
 
+// The sizer simulates each capacity vector at most once: here the upper
+// bound gate and the lower bound, which already meets the target and is
+// therefore chosen; the reporting run reuses the lower bound's result.
+TEST(BufferSizing, FinalReportReusesTheChosenVectorsSimulation) {
+  Pipeline pl;
+  BufferSizingConfig cfg;
+  cfg.target_period_ps = 100;
+  cfg.reference = pl.c;
+  cfg.probe = LatencyProbe{pl.p, pl.c};
+  const auto result = size_buffers(pl.g, {pl.pm, pl.mc}, cfg);
+  ASSERT_TRUE(result.feasible) << result.message;
+  EXPECT_EQ(result.capacities, (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(result.simulations, 2u);
+  EXPECT_EQ(result.events_simulated, 150u);
+
+  // The reused figures are those of a fresh run on the sized graph.
+  const auto rv = repetition_vector(pl.g);
+  ASSERT_TRUE(rv);
+  const auto sim = simulate(pl.g, *rv, pl.c, cfg.simulation, cfg.probe);
+  EXPECT_EQ(result.achieved_period_ps, sim.period_ps);
+  EXPECT_EQ(result.latency_ps, sim.latency_ps);
+  EXPECT_EQ(result.achieved_period_ps, 100u);
+  EXPECT_EQ(result.latency_ps, 300u);
+}
+
 TEST(BufferSizing, CapacitiesRemainSetOnGraph) {
   Pipeline pl;
   BufferSizingConfig cfg;

@@ -227,5 +227,193 @@ TEST(Simulator, WarmupZeroWorks) {
   EXPECT_GT(sim.period_ps, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Golden results of the event-by-event simulation. The simulator may skip
+// whole periods of the self-timed schedule once it has repeated; every
+// figure below was taken from a run that executed each firing, so a skip
+// that is not exact shows up as a changed end time, period or latency.
+
+/// Three-actor ring a -> b -> c -> a carrying two tokens: the tokens bunch
+/// up, so c's iterations alternate 20 ps and 40 ps apart and the schedule
+/// only repeats every two reference iterations.
+Graph two_token_ring(ActorId& a, ActorId& c) {
+  Graph g;
+  a = g.add_actor("a", {20});
+  const ActorId b = g.add_actor("b", {20});
+  c = g.add_actor("c", {20});
+  g.add_edge(make_edge("ab", a, b, {1}, {1}));
+  g.add_edge(make_edge("bc", b, c, {1}, {1}));
+  g.add_edge(make_edge("ca", c, a, {1}, {1}, std::nullopt, 2));
+  return g;
+}
+
+TEST(SimulatorGolden, EventLimitInsideRepeatingStretch) {
+  Graph g;
+  const ActorId p = g.add_actor("P", {100});
+  const ActorId c = g.add_actor("C", {250});
+  g.add_edge(make_edge("e", p, c, {1}, {1}, 4));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 100;
+  cfg.measured_iterations = 100;
+  cfg.max_events = 151;
+  const auto sim = simulate(g, *rv, c, cfg);
+  EXPECT_EQ(sim.status, SimulationStatus::EventLimit);
+  EXPECT_EQ(sim.message, "event limit reached at t=18450ps");
+  EXPECT_EQ(sim.end_time_ps, 18450u);
+  EXPECT_EQ(sim.events, 151u);
+  // The limit lies past the first recurrence: periods were skipped on the
+  // way, and the firings up to the limit itself were executed.
+  EXPECT_GT(sim.events_skipped, 0u);
+  EXPECT_LT(sim.events_skipped, sim.events);
+}
+
+TEST(SimulatorGolden, WarmupZeroMultiRateChain) {
+  Graph g;
+  const ActorId a = g.add_actor("a", {70});
+  const ActorId b = g.add_actor("b", {110});
+  const ActorId c = g.add_actor("c", {90});
+  g.add_edge(make_edge("ab", a, b, {3}, {2}, 12));
+  g.add_edge(make_edge("bc", b, c, {2}, {3}, 12));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 0;
+  cfg.measured_iterations = 16;
+  const auto sim = simulate(g, *rv, c, cfg, LatencyProbe{a, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_EQ(sim.period_ps, 330u);
+  EXPECT_EQ(sim.max_period_ps, 330u);
+  EXPECT_EQ(sim.latency_ps, 970u);
+  EXPECT_EQ(sim.end_time_ps, 5440u);
+  EXPECT_EQ(sim.events, 116u);
+  EXPECT_EQ(sim.measured_iterations_used, 16u);
+  EXPECT_GT(sim.events_skipped, 0u);
+}
+
+TEST(SimulatorGolden, LatencyProbeOnMultiPhaseMultiRateGraph) {
+  // src fires twice per iteration, the phased mid twice, the phased dst
+  // three times (rv = 2, 2, 3).
+  Graph g;
+  const ActorId src = g.add_actor("src", {120});
+  const ActorId mid = g.add_actor("mid", {10, 100, 10});
+  const ActorId dst = g.add_actor("dst", {30, 20});
+  g.add_edge(make_edge("in", src, mid, {8}, {8, 0, 0}, 16));
+  g.add_edge(make_edge("out", mid, dst, {0, 0, 6}, {2, 2}, 12));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  EXPECT_EQ(rv->cycles, (std::vector<std::uint64_t>{2, 2, 3}));
+  const auto sim =
+      simulate(g, *rv, dst, SimulationConfig{}, LatencyProbe{src, dst});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_EQ(sim.period_ps, 240u);
+  EXPECT_EQ(sim.max_period_ps, 240u);
+  EXPECT_EQ(sim.latency_ps, 430u);
+  EXPECT_EQ(sim.end_time_ps, 5950u);
+  EXPECT_EQ(sim.events, 338u);
+  EXPECT_GT(sim.events_skipped, 0u);
+}
+
+TEST(SimulatorGolden, LatencyProbeSinkBehindTheReference) {
+  // The probe's sink c completes an iteration only after the reference b
+  // has moved on, so the sink records of the measured window are those a
+  // skip must copy forward.
+  Graph g;
+  const ActorId a = g.add_actor("a", {48, 19, 50});
+  const ActorId b = g.add_actor("b", {44, 28});
+  const ActorId c = g.add_actor("c", {1});
+  g.add_edge(make_edge("ab", a, b, {4, 1, 4}, {4, 2}, 11));
+  g.add_edge(make_edge("bc", b, c, {3, 0}, {9}, 13, 9));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  EXPECT_EQ(rv->cycles, (std::vector<std::uint64_t>{2, 3, 1}));
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 10;
+  cfg.measured_iterations = 20;
+  const auto sim = simulate(g, *rv, b, cfg, LatencyProbe{a, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_EQ(sim.period_ps, 234u);
+  EXPECT_EQ(sim.max_period_ps, 234u);
+  EXPECT_EQ(sim.latency_ps, 48u);
+  EXPECT_EQ(sim.end_time_ps, 7095u);
+  EXPECT_EQ(sim.events, 393u);
+  EXPECT_GT(sim.events_skipped, 0u);
+}
+
+TEST(SimulatorGolden, ScheduleRepeatingEveryTwoIterations) {
+  ActorId a;
+  ActorId c;
+  const Graph g = two_token_ring(a, c);
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  const auto sim = simulate(g, *rv, c, SimulationConfig{}, LatencyProbe{a, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_EQ(sim.period_ps, 30u);
+  EXPECT_EQ(sim.max_period_ps, 40u);
+  EXPECT_EQ(sim.latency_ps, 60u);
+  EXPECT_EQ(sim.end_time_ps, 740u);
+  EXPECT_EQ(sim.events, 73u);
+  EXPECT_GT(sim.events_skipped, 0u);
+}
+
+TEST(SimulatorGolden, DeadlockAfterProgress) {
+  // P bursts 3 tokens into a 3-token buffer, C drains 2 at a time: after
+  // one firing each, 1 token is left and neither can fire again.
+  Graph g;
+  const ActorId p = g.add_actor("P", {10});
+  const ActorId c = g.add_actor("C", {10});
+  g.add_edge(make_edge("e", p, c, {3}, {2}, 3));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  const auto sim = simulate(g, *rv, c);
+  EXPECT_EQ(sim.status, SimulationStatus::Deadlock);
+  EXPECT_EQ(sim.message,
+            "deadlock; blocked actors: P(no space on 'e') C(needs 2 on 'e')");
+  EXPECT_EQ(sim.end_time_ps, 20u);
+  EXPECT_EQ(sim.events, 2u);
+}
+
+TEST(SimulatorGolden, AdaptiveWindowUnchanged) {
+  ActorId a;
+  ActorId c;
+  const Graph g = two_token_ring(a, c);
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 4;
+  cfg.measured_iterations = 64;
+  cfg.convergence_window = 3;
+  cfg.convergence_epsilon = 0.5;
+  const auto sim = simulate(g, *rv, c, cfg, LatencyProbe{a, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_TRUE(sim.converged_early);
+  EXPECT_EQ(sim.measured_iterations_used, 4u);
+  EXPECT_EQ(sim.period_ps, 30u);
+  EXPECT_EQ(sim.max_period_ps, 40u);
+  EXPECT_EQ(sim.latency_ps, 60u);
+  EXPECT_EQ(sim.end_time_ps, 260u);
+  EXPECT_EQ(sim.events, 25u);
+  EXPECT_EQ(sim.events_skipped, 0u);
+}
+
+TEST(SimulatorGolden, PlainPipeline) {
+  Graph g;
+  const ActorId p = g.add_actor("P", {100});
+  const ActorId c = g.add_actor("C", {250});
+  g.add_edge(make_edge("e", p, c, {1}, {1}, 4));
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  const auto sim = simulate(g, *rv, c, SimulationConfig{}, LatencyProbe{p, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_EQ(sim.period_ps, 250u);
+  EXPECT_EQ(sim.latency_ps, 1250u);
+  EXPECT_EQ(sim.end_time_ps, 6100u);
+  EXPECT_EQ(sim.events, 52u);
+  // The schedule repeats after a few iterations; the rest is skipped.
+  EXPECT_GT(sim.events_skipped, 0u);
+  EXPECT_LT(sim.events_skipped, sim.events);
+}
+
 }  // namespace
 }  // namespace rtsm::csdf

@@ -206,5 +206,61 @@ TEST(Implementation, TokensPerCycle) {
   EXPECT_EQ(Implementation::tokens_per_cycle(port), 16u);
 }
 
+/// The text of the rtsm::Error @p fn throws ("" when it does not throw).
+template <class F>
+std::string error_text(F&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Contract failures keep their exact messages although the messages are
+// built only once a check has failed.
+TEST(Application, OutOfRangeIdsNameTheApplicationOrProcess) {
+  const Application app = two_stage();
+  EXPECT_EQ(error_text([&] { (void)app.process(ProcessId{7}); }),
+            "process id out of range in application 'two-stage'");
+  EXPECT_EQ(error_text([&] { (void)app.channel(ChannelId{3}); }),
+            "channel id out of range in application 'two-stage'");
+  EXPECT_EQ(error_text([&] {
+              (void)app.implementation(ProcessId{0}, ImplementationId{2});
+            }),
+            "implementation id out of range for process 'A'");
+  EXPECT_EQ(error_text([&] { (void)app.in_channels(ProcessId{}); }),
+            "process id out of range in application 'two-stage'");
+}
+
+TEST(Application, InconsistentCyclesPerSymbolMessages) {
+  Application app("x", QosConstraints{});
+  const ProcessId a = app.add_process("A");
+  const ProcessId b = app.add_process("B");
+  const ProcessId d = app.add_process("D");
+  const ChannelId ab = app.connect(a, b, 10);
+  const ChannelId ad = app.connect(a, d, 8);
+  Implementation ia;
+  ia.name = "A@T";
+  ia.tile_type = "T";
+  ia.wcet_cc = {10};
+  ia.outputs = {{ab, {3}}, {ad, {8}}};  // 10 % 3 != 0
+  const ImplementationId non_integral =
+      app.add_implementation(a, std::move(ia));
+  Implementation ia2;
+  ia2.name = "A2@T";
+  ia2.tile_type = "T";
+  ia2.wcet_cc = {10};
+  ia2.outputs = {{ab, {5}}, {ad, {8}}};  // 2 cycles vs. 1 cycle
+  const ImplementationId mismatched =
+      app.add_implementation(a, std::move(ia2));
+  EXPECT_EQ(error_text([&] { (void)app.cycles_per_symbol(a, non_integral); }),
+            "implementation 'A@T': 10 tokens/symbol on channel 'A->B' is not "
+            "a multiple of 3 tokens/cycle");
+  EXPECT_EQ(error_text([&] { (void)app.cycles_per_symbol(a, mismatched); }),
+            "implementation 'A2@T': ports imply different cycles-per-symbol "
+            "counts");
+}
+
 }  // namespace
 }  // namespace rtsm::kpn

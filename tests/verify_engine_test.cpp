@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "csdf/buffer_sizing.hpp"
 #include "core/csdf_expansion.hpp"
 #include "runtime/runtime_manager.hpp"
+#include "runtime/stats_report.hpp"
 #include "test_helpers.hpp"
 #include "verify/engine.hpp"
 #include "verify/signature.hpp"
@@ -376,6 +378,25 @@ TEST(RuntimeIntegration, RepeatAdmissionsHitTheSharedCache) {
     EXPECT_EQ(manager.mapping_of(second.app_id).buffer_tokens(cid),
               first.mapping.mapping.buffer_tokens(cid));
   }
+}
+
+TEST(RuntimeIntegration, SkippedEventsReachTheStatsReport) {
+  const auto platform = test::small_platform();
+  runtime::RuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+  ASSERT_EQ(manager.admit(test::pipeline_app({.stages = 2})).status,
+            runtime::AdmitStatus::Admitted);
+
+  // A pipeline's schedule repeats within the warmup, so most of every
+  // sizing simulation is fast-forwarded.
+  const verify::EngineStats stats = manager.verification_stats();
+  EXPECT_GT(stats.events_skipped, 0u);
+  EXPECT_LT(stats.events_skipped, stats.events_simulated);
+  const std::string json = manager.stats_report().to_json();
+  const std::string entry =
+      "\"events_simulated\":" + std::to_string(stats.events_simulated) +
+      ",\"events_skipped\":" + std::to_string(stats.events_skipped);
+  EXPECT_NE(json.find(entry), std::string::npos) << json;
 }
 
 }  // namespace
