@@ -52,9 +52,16 @@ class Search {
       : app_(ctx.app), platform_(ctx.platform), state_(ctx.state),
         feedback_(ctx.feedback), options_(options), energy_(ctx.energy),
         mapping_(ctx.mapping), trace_(ctx.trace.step2) {
+    load_.resize(app_.process_count());
     for (const ProcessId pid : app_.process_ids()) {
-      if (!app_.process(pid).is_fixture()) movable_.push_back(pid);
+      if (app_.process(pid).is_fixture()) continue;
+      movable_.push_back(pid);
+      load_[pid.value()] = load_of(app_, platform_, mapping_, pid);
     }
+    for (const ChannelId cid : app_.channel_ids()) {
+      channels_.push_back(&app_.channel(cid));
+    }
+    refresh_channel_costs();
   }
 
   void run() {
@@ -72,9 +79,46 @@ class Search {
   }
 
  private:
+  /// placement_cost() of the current mapping: the cached per-channel
+  /// costs added up in channel order, as placement_cost() adds them.
   double cost() const {
-    return placement_cost(app_, platform_, mapping_, options_.cost_model,
-                          energy_);
+    double c = 0.0;
+    for (const double channel : channel_cost_) c += channel;
+    return c;
+  }
+
+  double channel_cost_between(const kpn::Channel& ch, TileId src,
+                              TileId dst) const {
+    return channel_cost(ch, platform_.manhattan(src, dst),
+                        options_.cost_model, energy_);
+  }
+
+  void refresh_channel_costs() {
+    channel_cost_.clear();
+    for (const kpn::Channel* ch : channels_) {
+      channel_cost_.push_back(channel_cost_between(
+          *ch, mapping_.tile_of(ch->src), mapping_.tile_of(ch->dst)));
+    }
+  }
+
+  /// placement_cost() with @p a on @p a_tile and @p b (invalid for a move)
+  /// on @p b_tile: the same sum in the same order, recomputing only the
+  /// channels incident to a moved process, so the result is bit-identical.
+  double cost_if(ProcessId a, TileId a_tile, ProcessId b,
+                 TileId b_tile) const {
+    auto tile = [&](ProcessId p) {
+      return p == a ? a_tile : p == b ? b_tile : mapping_.tile_of(p);
+    };
+    double c = 0.0;
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
+      const kpn::Channel& ch = *channels_[i];
+      if (ch.src == a || ch.dst == a || ch.src == b || ch.dst == b) {
+        c += channel_cost_between(ch, tile(ch.src), tile(ch.dst));
+      } else {
+        c += channel_cost_[i];
+      }
+    }
+    return c;
   }
 
   std::vector<std::string> assignment_snapshot() const {
@@ -89,7 +133,7 @@ class Search {
   }
 
   bool move_fits(ProcessId pid, TileId target) const {
-    const Load l = load_of(app_, platform_, mapping_, pid);
+    const Load& l = load_[pid.value()];
     return state_.tile_fits(target, l.util, l.mem);
   }
 
@@ -97,8 +141,8 @@ class Search {
   bool swap_fits(ProcessId a, ProcessId b) {
     const TileId ta = mapping_.tile_of(a);
     const TileId tb = mapping_.tile_of(b);
-    const Load la = load_of(app_, platform_, mapping_, a);
-    const Load lb = load_of(app_, platform_, mapping_, b);
+    const Load la = load_[a.value()];
+    const Load lb = load_[b.value()];
     state_.release_tile(ta, la.util, la.mem);
     state_.release_tile(tb, lb.util, lb.mem);
     const bool ok = state_.tile_fits(tb, la.util, la.mem) &&
@@ -108,44 +152,28 @@ class Search {
     return ok;
   }
 
-  double evaluate_move(ProcessId pid, TileId target) {
-    const TileId original = mapping_.tile_of(pid);
-    mapping_.move(pid, target);
-    const double c = cost();
-    mapping_.move(pid, original);
-    return c;
-  }
-
-  double evaluate_swap(ProcessId a, ProcessId b) {
-    const TileId ta = mapping_.tile_of(a);
-    const TileId tb = mapping_.tile_of(b);
-    mapping_.move(a, tb);
-    mapping_.move(b, ta);
-    const double c = cost();
-    mapping_.move(a, ta);
-    mapping_.move(b, tb);
-    return c;
-  }
-
   void apply(const Candidate& cand) {
     if (cand.b.valid()) {
       const TileId ta = mapping_.tile_of(cand.a);
       const TileId tb = mapping_.tile_of(cand.b);
-      const Load la = load_of(app_, platform_, mapping_, cand.a);
-      const Load lb = load_of(app_, platform_, mapping_, cand.b);
+      const Load la = load_[cand.a.value()];
+      const Load lb = load_[cand.b.value()];
       state_.release_tile(ta, la.util, la.mem);
       state_.release_tile(tb, lb.util, lb.mem);
       state_.reserve_tile(tb, la.util, la.mem);
       state_.reserve_tile(ta, lb.util, lb.mem);
       mapping_.move(cand.a, tb);
       mapping_.move(cand.b, ta);
+      load_[cand.b.value()] = load_of(app_, platform_, mapping_, cand.b);
     } else {
       const TileId ta = mapping_.tile_of(cand.a);
-      const Load la = load_of(app_, platform_, mapping_, cand.a);
+      const Load la = load_[cand.a.value()];
       state_.release_tile(ta, la.util, la.mem);
       state_.reserve_tile(cand.target, la.util, la.mem);
       mapping_.move(cand.a, cand.target);
     }
+    load_[cand.a.value()] = load_of(app_, platform_, mapping_, cand.a);
+    refresh_channel_costs();
   }
 
   /// All admissible candidates for @p pid; swaps with partners in
@@ -161,8 +189,8 @@ class Search {
       if (tile == current) continue;
       if (feedback_.tile_forbidden(pid, tile)) continue;
       if (!move_fits(pid, tile)) continue;
-      result.push_back(
-          Candidate{pid, ProcessId{}, tile, evaluate_move(pid, tile)});
+      result.push_back(Candidate{pid, ProcessId{}, tile,
+                                 cost_if(pid, tile, ProcessId{}, TileId{})});
     }
     for (const ProcessId other : movable_) {
       if (other == pid) continue;
@@ -175,8 +203,8 @@ class Search {
         continue;
       }
       if (!swap_fits(pid, other)) continue;
-      result.push_back(
-          Candidate{pid, other, TileId{}, evaluate_swap(pid, other)});
+      result.push_back(Candidate{pid, other, TileId{},
+                                 cost_if(pid, other_tile, other, current)});
     }
     return result;
   }
@@ -275,6 +303,13 @@ class Search {
   Mapping& mapping_;
   Step2Trace& trace_;
   std::vector<ProcessId> movable_;
+  /// Booked load of each movable process on its current tile (indexed by
+  /// process id); refreshed for the processes a kept candidate moves.
+  std::vector<Load> load_;
+  /// The application's channels in channel order.
+  std::vector<const kpn::Channel*> channels_;
+  /// channel_cost() of each channel under the current mapping.
+  std::vector<double> channel_cost_;
 };
 
 }  // namespace

@@ -25,21 +25,22 @@ struct FlatGraph {
   std::vector<std::size_t> wcet_off;
   std::vector<std::uint64_t> wcet_ps;
 
-  // Edges: endpoints, capacity (kUnbounded = no bound) and per-phase rates
-  // (production indexed by the source actor's phase, consumption by the
-  // destination actor's phase).
+  // Edges: endpoints, capacity (kUnbounded = no bound) and the per-phase
+  // rate tables of all edges back to back (production indexed by the source
+  // actor's phase, consumption by the destination actor's phase).
   std::vector<std::uint32_t> src, dst;
   std::vector<std::uint64_t> capacity;
-  std::vector<std::size_t> prod_off;
   std::vector<std::uint32_t> prod;
-  std::vector<std::size_t> cons_off;
   std::vector<std::uint32_t> cons;
 
-  // CSR adjacency: edge indices per actor.
+  // CSR adjacency: edge indices per actor, and per slot the offset of the
+  // edge's rate table in prod (out-slots) or cons (in-slots).
   std::vector<std::size_t> in_off;
   std::vector<std::uint32_t> in_edge;
+  std::vector<std::size_t> in_rate;
   std::vector<std::size_t> out_off;
   std::vector<std::uint32_t> out_edge;
+  std::vector<std::size_t> out_rate;
 
   explicit FlatGraph(const Graph& g)
       : num_actors(g.actor_count()), num_edges(g.edge_count()) {
@@ -62,8 +63,8 @@ struct FlatGraph {
     src.resize(num_edges);
     dst.resize(num_edges);
     capacity.resize(num_edges);
-    prod_off.resize(num_edges + 1, 0);
-    cons_off.resize(num_edges + 1, 0);
+    std::vector<std::size_t> prod_off(num_edges + 1, 0);
+    std::vector<std::size_t> cons_off(num_edges + 1, 0);
     in_off.assign(num_actors + 1, 0);
     out_off.assign(num_actors + 1, 0);
     for (std::size_t e = 0; e < num_edges; ++e) {
@@ -88,11 +89,15 @@ struct FlatGraph {
       out_off[a + 1] += out_off[a];
     }
     in_edge.resize(num_edges);
+    in_rate.resize(num_edges);
     out_edge.resize(num_edges);
+    out_rate.resize(num_edges);
     std::vector<std::size_t> in_fill(in_off.begin(), in_off.end() - 1);
     std::vector<std::size_t> out_fill(out_off.begin(), out_off.end() - 1);
     for (std::size_t e = 0; e < num_edges; ++e) {
+      in_rate[in_fill[dst[e]]] = cons_off[e];
       in_edge[in_fill[dst[e]]++] = static_cast<std::uint32_t>(e);
+      out_rate[out_fill[src[e]]] = prod_off[e];
       out_edge[out_fill[src[e]]++] = static_cast<std::uint32_t>(e);
     }
   }
@@ -126,14 +131,56 @@ class ReadySet {
   std::vector<char> queued_;
 };
 
-struct Firing {
-  std::uint64_t end_ps;
-  std::uint32_t actor;
-  // Deterministic ordering: earliest end first, then lowest actor id.
-  bool operator>(const Firing& rhs) const {
-    if (end_ps != rhs.end_ps) return end_ps > rhs.end_ps;
-    return actor > rhs.actor;
+/// Winner (tournament) tree over the actors' firings in flight. Leaf a
+/// holds the end time of actor a's firing (kUnbounded = idle); each inner
+/// node holds the actor with the earliest end time below it. Leaves are in
+/// actor-id order and a tie goes to the left child, so the root is the
+/// earliest firing and, among equal ends, the lowest actor id.
+class WinnerTree {
+ public:
+  explicit WinnerTree(std::size_t n) {
+    while (leaves_ < n) leaves_ *= 2;
+    end_.assign(leaves_, kUnbounded);
+    node_.resize(2 * leaves_);
+    for (std::size_t i = 0; i < leaves_; ++i) {
+      node_[leaves_ + i] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t i = leaves_ - 1; i > 0; --i) play(i);
   }
+
+  [[nodiscard]] std::uint64_t end(std::uint32_t a) const { return end_[a]; }
+  [[nodiscard]] bool busy(std::uint32_t a) const {
+    return end_[a] != kUnbounded;
+  }
+  /// Actor of the earliest firing (its end is kUnbounded when none is in
+  /// flight).
+  [[nodiscard]] std::uint32_t top() const { return node_[1]; }
+
+  /// Sets a's end time without fixing its path: the inner nodes above it
+  /// go stale until fix(a).
+  void set(std::uint32_t a, std::uint64_t end) { end_[a] = end; }
+  /// Replays the matches on a's path up to the root.
+  void fix(std::uint32_t a) {
+    for (std::size_t i = (leaves_ + a) / 2; i > 0; i /= 2) play(i);
+  }
+  /// Moves every firing in flight @p delta later. A uniform shift keeps
+  /// every match's winner, so no node changes.
+  void shift(std::uint64_t delta) {
+    for (std::uint64_t& t : end_) {
+      if (t != kUnbounded) t += delta;
+    }
+  }
+
+ private:
+  void play(std::size_t i) {
+    const std::uint32_t l = node_[2 * i];
+    const std::uint32_t r = node_[2 * i + 1];
+    node_[i] = end_[r] < end_[l] ? r : l;
+  }
+
+  std::size_t leaves_ = 1;
+  std::vector<std::uint64_t> end_;
+  std::vector<std::uint32_t> node_;
 };
 
 /// Self-timed state at one reference-iteration completion, with where the
@@ -185,7 +232,6 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   const std::uint32_t ref = reference.value();
 
   std::vector<std::uint32_t> phase(num_actors, 0);
-  std::vector<char> busy(num_actors, 0);
   std::vector<std::uint64_t> cycles_done(num_actors, 0);
   std::vector<std::uint64_t> tokens(num_edges);
   std::vector<std::uint64_t> reserved(num_edges, 0);
@@ -213,9 +259,8 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     sink_iter_end.assign(total_iters + 2, 0);
   }
 
-  // Min-heap on (end time, actor) kept in a plain vector, so a
-  // fast-forward can shift every firing in flight in place.
-  std::vector<Firing> in_flight;
+  // Firings in flight; an actor is busy while its leaf holds an end time.
+  WinnerTree in_flight(num_actors);
 
   SimulationResult result;
   result.measured_iterations_used = 0;
@@ -225,17 +270,16 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   std::uint64_t sink_logged = 0;
 
   auto can_start = [&](std::uint32_t a) -> bool {
-    if (busy[a]) return false;
+    if (in_flight.busy(a)) return false;
     const std::uint32_t k = phase[a];
     for (std::size_t i = fg.in_off[a]; i < fg.in_off[a + 1]; ++i) {
-      const std::uint32_t e = fg.in_edge[i];
-      if (tokens[e] < fg.cons[fg.cons_off[e] + k]) return false;
+      if (tokens[fg.in_edge[i]] < fg.cons[fg.in_rate[i] + k]) return false;
     }
     for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
       const std::uint32_t e = fg.out_edge[i];
       if (fg.capacity[e] == kUnbounded) continue;
       const std::uint64_t used = tokens[e] + reserved[e];
-      if (used + fg.prod[fg.prod_off[e] + k] > fg.capacity[e]) return false;
+      if (used + fg.prod[fg.out_rate[i] + k] > fg.capacity[e]) return false;
     }
     return true;
   };
@@ -243,12 +287,10 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   auto start_firing = [&](std::uint32_t a) {
     const std::uint32_t k = phase[a];
     for (std::size_t i = fg.in_off[a]; i < fg.in_off[a + 1]; ++i) {
-      const std::uint32_t e = fg.in_edge[i];
-      tokens[e] -= fg.cons[fg.cons_off[e] + k];
+      tokens[fg.in_edge[i]] -= fg.cons[fg.in_rate[i] + k];
     }
     for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
-      const std::uint32_t e = fg.out_edge[i];
-      reserved[e] += fg.prod[fg.prod_off[e] + k];
+      reserved[fg.out_edge[i]] += fg.prod[fg.out_rate[i] + k];
     }
     if (probe && a == probe->source.value() && k == 0 &&
         cycles_done[a] % src_cycles_per_iter == 0) {
@@ -256,9 +298,8 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
       if (iter < src_iter_start.size()) src_iter_start[iter] = now;
       src_logged = iter + 1;
     }
-    busy[a] = 1;
-    in_flight.push_back(Firing{now + fg.wcet_ps[fg.wcet_off[a] + k], a});
-    std::push_heap(in_flight.begin(), in_flight.end(), std::greater<>{});
+    in_flight.set(a, now + fg.wcet_ps[fg.wcet_off[a] + k]);
+    in_flight.fix(a);
   };
 
   // Worklist-driven enabling. Only two events can enable an actor:
@@ -275,7 +316,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
       // Consumption freed space: producers into this actor may now fit.
       for (std::size_t i = fg.in_off[a]; i < fg.in_off[a + 1]; ++i) {
         const std::uint32_t producer = fg.src[fg.in_edge[i]];
-        if (!busy[producer]) ready.push(producer);
+        if (!in_flight.busy(producer)) ready.push(producer);
       }
     }
   };
@@ -283,12 +324,12 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   auto describe_block = [&]() -> std::string {
     std::string info = "deadlock; blocked actors:";
     for (std::size_t a = 0; a < num_actors; ++a) {
-      if (busy[a]) continue;
+      if (in_flight.busy(static_cast<std::uint32_t>(a))) continue;
       const ActorId aid{static_cast<ActorId::value_type>(a)};
       const std::uint32_t k = phase[a];
       for (std::size_t i = fg.in_off[a]; i < fg.in_off[a + 1]; ++i) {
         const std::uint32_t e = fg.in_edge[i];
-        if (tokens[e] < fg.cons[fg.cons_off[e] + k]) {
+        if (tokens[e] < fg.cons[fg.in_rate[i] + k]) {
           const Edge& edge = graph.edge(EdgeId{e});
           info += " " + graph.actor(aid).name + "(needs " +
                   std::to_string(edge.consumption[k]) + " on '" + edge.name +
@@ -299,7 +340,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
       for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
         const std::uint32_t e = fg.out_edge[i];
         if (fg.capacity[e] == kUnbounded) continue;
-        if (tokens[e] + reserved[e] + fg.prod[fg.prod_off[e] + k] >
+        if (tokens[e] + reserved[e] + fg.prod[fg.out_rate[i] + k] >
             fg.capacity[e]) {
           const Edge& edge = graph.edge(EdgeId{e});
           info += " " + graph.actor(aid).name + "(no space on '" + edge.name +
@@ -330,22 +371,21 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   // first recurrence whole periods are skipped: time, the firings in
   // flight, the cycle counters and the event count advance, and the
   // iteration records the skipped periods would have logged are copied
-  // from the period just simulated. The skip stops short of the final
-  // reference iteration and of the event limit, so the run ends firing by
-  // firing with the same result as without the skip. The adaptive window
-  // judges every iteration's own span, so it never skips.
+  // from the period just simulated. The skip lands at most on the final
+  // reference iteration and stops short of the event limit. A landing is
+  // the same event of the same state, shifted in time, that the
+  // firing-by-firing run reaches, with every record before it in place; on
+  // the final iteration the run then ends exactly as that run does. The
+  // adaptive window judges every iteration's own span, so it never skips.
   bool record_snapshots = !config.adaptive();
   std::vector<Snapshot> snapshots;
   auto take_snapshot = [&](std::uint64_t iter) {
     Snapshot snap;
     snap.state.reserve(3 * num_actors + 2 * num_edges);
-    for (std::size_t a = 0; a < num_actors; ++a) {
+    for (std::uint32_t a = 0; a < num_actors; ++a) {
       snap.state.push_back(phase[a]);
       snap.state.push_back(cycles_done[a] % rv.cycles[a]);
-      snap.state.push_back(0);
-    }
-    for (const Firing& f : in_flight) {
-      snap.state[3 * std::size_t{f.actor} + 2] = f.end_ps - now + 1;
+      snap.state.push_back(in_flight.busy(a) ? in_flight.end(a) - now + 1 : 0);
     }
     for (std::size_t e = 0; e < num_edges; ++e) {
       snap.state.push_back(tokens[e]);
@@ -373,10 +413,10 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     const std::uint64_t iters = iter - prev->iter;
     const std::uint64_t span = now - prev->now;
     const std::uint64_t events = result.events - prev->events;
-    // Land at most on the second-to-last iteration and below the limit.
+    // Land at most on the final iteration and below the limit.
     std::uint64_t periods = 0;
-    if (iter + 2 <= total_iters && result.events < config.max_events) {
-      periods = std::min((total_iters - 2 - iter) / iters,
+    if (result.events < config.max_events) {
+      periods = std::min((total_iters - 1 - iter) / iters,
                          (config.max_events - 1 - result.events) / events);
     }
     if (periods > 0) {
@@ -389,7 +429,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
       for (std::size_t a = 0; a < num_actors; ++a) {
         cycles_done[a] += periods * (cycles_done[a] - prev->cycles[a]);
       }
-      for (Firing& f : in_flight) f.end_ps += periods * span;
+      in_flight.shift(periods * span);
       now += periods * span;
       result.events += periods * events;
       result.events_skipped += periods * events;
@@ -407,27 +447,26 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
 
   std::uint32_t convergence_streak = 0;
   while (true) {
-    if (in_flight.empty()) {
+    const std::uint32_t a = in_flight.top();
+    if (!in_flight.busy(a)) {
       result.status = SimulationStatus::Deadlock;
       result.message = describe_block();
       result.end_time_ps = now;
       return result;
     }
-    std::pop_heap(in_flight.begin(), in_flight.end(), std::greater<>{});
-    const Firing f = in_flight.back();
-    in_flight.pop_back();
-    now = f.end_ps;
+    now = in_flight.end(a);
     ++result.events;
+    // The leaf is cleared now; its path is replayed only after the
+    // enabling below, which most often restarts the same actor.
+    in_flight.set(a, kUnbounded);
 
-    const std::uint32_t a = f.actor;
     const std::uint32_t k = phase[a];
     for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
       const std::uint32_t e = fg.out_edge[i];
-      const std::uint32_t produced = fg.prod[fg.prod_off[e] + k];
+      const std::uint32_t produced = fg.prod[fg.out_rate[i] + k];
       reserved[e] -= produced;
       tokens[e] += produced;
     }
-    busy[a] = 0;
     phase[a] = (k + 1 == fg.phase_count[a]) ? 0 : k + 1;
     if (phase[a] == 0) {
       ++cycles_done[a];
@@ -484,9 +523,10 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     ready.push(a);
     for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
       const std::uint32_t consumer = fg.dst[fg.out_edge[i]];
-      if (!busy[consumer]) ready.push(consumer);
+      if (!in_flight.busy(consumer)) ready.push(consumer);
     }
     drain_ready();
+    if (!in_flight.busy(a)) in_flight.fix(a);
   }
 
   result.status = SimulationStatus::Completed;

@@ -89,7 +89,9 @@ std::optional<Path> RouteCache::route(
 
 RouteCacheStats RouteCache::stats() const {
   const audit::LockGuard lock(mutex_);
-  return stats_;
+  RouteCacheStats out = stats_;
+  out.entries = order_.size();
+  return out;
 }
 
 void RouteCache::clear() {

@@ -33,6 +33,9 @@ struct RouteCacheStats {
   /// Cached route blocked by live congestion — fell back to a live search.
   std::uint64_t fallbacks = 0;
   std::uint64_t evictions = 0;
+  /// Cached routes when the snapshot was taken (bounded by
+  /// RouteCacheOptions::max_entries).
+  std::uint64_t entries = 0;
 
   [[nodiscard]] double hit_rate() const {
     return lookups == 0

@@ -115,7 +115,9 @@ std::string StatsReport::to_json() const {
       << ",\"events_simulated\":" << verification.events_simulated
       << ",\"events_skipped\":" << verification.events_skipped
       << ",\"simulations_saved\":" << verification.simulations_saved
-      << ",\"events_saved\":" << verification.events_saved << "}";
+      << ",\"events_saved\":" << verification.events_saved
+      << ",\"cache_entries\":" << verification.cache_entries
+      << ",\"warm_hints\":" << verification.warm_hints << "}";
 
   out << ",\"shape_library\":{\"lookups\":" << shapes.lookups
       << ",\"hits\":" << shapes.hits << ",\"misses\":" << shapes.misses
@@ -131,6 +133,7 @@ std::string StatsReport::to_json() const {
       << ",\"misses\":" << route_cache.misses
       << ",\"fallbacks\":" << route_cache.fallbacks
       << ",\"evictions\":" << route_cache.evictions
+      << ",\"entries\":" << route_cache.entries
       << ",\"hit_rate\":" << num(route_cache.hit_rate()) << "}";
 
   out << ",\"release_errors\":[";

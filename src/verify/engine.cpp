@@ -168,6 +168,8 @@ EngineStats Engine::stats() const {
   EngineStats out = stats_;
   out.evictions = cache_.evictions();
   out.evicted_while_hot = cache_.evicted_while_hot();
+  out.cache_entries = cache_.size();
+  out.warm_hints = warm_hints_.size();
   return out;
 }
 

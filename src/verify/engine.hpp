@@ -54,6 +54,11 @@ struct EngineStats {
   std::uint64_t simulations_saved = 0;
   std::uint64_t events_saved = 0;
 
+  /// Occupancy when the snapshot was taken: cached outcomes and stored
+  /// warm hints (each bounded by EngineOptions::max_entries).
+  std::uint64_t cache_entries = 0;
+  std::uint64_t warm_hints = 0;
+
   [[nodiscard]] double hit_rate() const {
     return lookups == 0
                ? 0.0

@@ -1,9 +1,10 @@
 // Exactness oracle of the paper's four-step mapper: a seeded admission
-// churn on a 16x16 ARM/MONTIUM mesh and the seven HIPERLAN/2 modes on a
-// 6x6 mesh, digested over everything a mapping result decides. The digest
-// constants were taken from the unoptimized step-4 pipeline; any speed-up
-// of the mapper (lazy contract messages, reuse of sizing simulations, the
-// simulator's periodic fast-forward) must reproduce them bit for bit.
+// churn on a 16x16 ARM/MONTIUM mesh (under each step-2 cost model) and the
+// seven HIPERLAN/2 modes on a 6x6 mesh, digested over everything a mapping
+// result decides. The digest constants were taken from the unoptimized
+// pipeline; any speed-up of the mapper (lazy contract messages, reuse of
+// sizing simulations, the simulator's periodic fast-forward and event
+// queue, step 2's cached candidate costs) must reproduce them bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -76,6 +77,21 @@ class Digest {
     add(r.energy_nj_per_symbol);
   }
 
+  /// The bits of every step-2 cost a mapping run computed: per refinement
+  /// round the initial and final cost and each iteration's before/after.
+  /// Decisions rarely depend on the last bit of a fractional cost, so this
+  /// is what pins the order in which step 2 adds up per-channel costs.
+  void add_step2_costs(const core::MappingResult& r) {
+    for (const auto& round : r.trace.rounds) {
+      add(round.step2.initial_cost);
+      add(round.step2.final_cost);
+      for (const core::Step2Record& rec : round.step2.records) {
+        add(rec.cost_before);
+        add(rec.cost_after);
+      }
+    }
+  }
+
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
@@ -138,27 +154,39 @@ arch::Platform mesh6() {
 using Live = std::vector<std::pair<std::shared_ptr<kpn::Application>,
                                    core::Mapping>>;
 
-/// Maps @p app against @p state, digests the result and commits a success.
+/// Maps @p app against @p state, digests the result (and, when given, its
+/// step-2 costs) and commits a success.
 void admit(const core::Mapper& mapper, core::ResourceState& state,
            std::shared_ptr<kpn::Application> app, Live& live, Digest& digest,
-           std::size_t& admitted) {
+           std::size_t& admitted, Digest* step2_costs = nullptr) {
   const core::MappingResult r = mapper.map(*app, state);
   digest.add(*app, r);
+  if (step2_costs != nullptr) step2_costs->add_step2_costs(r);
   if (!r.success) return;
   ++admitted;
   core::commit_mapping(state, *app, r.mapping);
   live.emplace_back(std::move(app), r.mapping);
 }
 
-// Seeded synthetic arrivals with random releases: the live set is capped,
-// so later arrivals are mapped around the fragments earlier ones left.
-TEST(MapperExactness, SyntheticChurnOn16x16MeshIsBitIdentical) {
+struct ChurnDigests {
+  std::size_t admitted = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t step2_costs = 0;
+};
+
+/// Seeded synthetic arrivals with random releases under step-2 cost model
+/// @p model: the live set is capped, so later arrivals are mapped around the
+/// fragments earlier ones left.
+ChurnDigests synthetic_churn_on_16x16(core::CommCostModel model) {
   const arch::Platform platform = mesh16();
-  const core::SpatialMapper mapper;
+  core::MapperConfig config;
+  config.step2.cost_model = model;
+  const core::SpatialMapper mapper(config);
   core::ResourceState state(platform);
   Rng rng(20240607);
   Live live;
   Digest digest;
+  Digest step2_costs;
   std::size_t admitted = 0;
   constexpr std::size_t kArrivals = 48;
   constexpr std::size_t kLiveCap = 14;
@@ -178,10 +206,37 @@ TEST(MapperExactness, SyntheticChurnOn16x16MeshIsBitIdentical) {
     params.max_preferred_utilization = 0.7;
     auto app = std::make_shared<kpn::Application>(workload::make_synthetic_app(
         rng, params, "churn-" + std::to_string(i)));
-    admit(mapper, state, std::move(app), live, digest, admitted);
+    admit(mapper, state, std::move(app), live, digest, admitted,
+          &step2_costs);
   }
-  EXPECT_EQ(admitted, 41u);
-  EXPECT_EQ(digest.value(), 0x0729d0030b653370ull);
+  return {admitted, digest.value(), step2_costs.value()};
+}
+
+TEST(MapperExactness, SyntheticChurnOn16x16MeshIsBitIdentical) {
+  const ChurnDigests d = synthetic_churn_on_16x16(core::CommCostModel::HopCount);
+  EXPECT_EQ(d.admitted, 41u);
+  EXPECT_EQ(d.decisions, 0x0729d0030b653370ull);
+  EXPECT_EQ(d.step2_costs, 0xa35a1fcff3345431ull);
+}
+
+// Hop counts and token-weighted hops are small integers, so any summation
+// order gives the same step-2 cost. Energy-weighted costs are fractional:
+// their step-2 cost digest pins the order in which step 2 adds up its
+// per-channel costs.
+TEST(MapperExactness, TokenWeightedChurnOn16x16MeshIsBitIdentical) {
+  const ChurnDigests d =
+      synthetic_churn_on_16x16(core::CommCostModel::TokenWeighted);
+  EXPECT_EQ(d.admitted, 41u);
+  EXPECT_EQ(d.decisions, 0xaa3c773c1c13adadull);
+  EXPECT_EQ(d.step2_costs, 0x0e2bf682fee0b61dull);
+}
+
+TEST(MapperExactness, EnergyWeightedChurnOn16x16MeshIsBitIdentical) {
+  const ChurnDigests d =
+      synthetic_churn_on_16x16(core::CommCostModel::EnergyWeighted);
+  EXPECT_EQ(d.admitted, 41u);
+  EXPECT_EQ(d.decisions, 0xdd78a94aef77cc36ull);
+  EXPECT_EQ(d.step2_costs, 0xeec6a01f65ba957full);
 }
 
 // Every HIPERLAN/2 mode, twice: first onto an empty mesh one after the

@@ -399,5 +399,43 @@ TEST(RuntimeIntegration, SkippedEventsReachTheStatsReport) {
   EXPECT_NE(json.find(entry), std::string::npos) << json;
 }
 
+TEST(RuntimeIntegration, CacheOccupancyReachesTheStatsReport) {
+  const auto platform = test::small_platform();
+  auto engine = std::make_shared<verify::Engine>();
+  auto routes = std::make_shared<noc::RouteCache>();
+  core::MapperConfig config;
+  config.engine = engine;
+  config.route_cache = routes;
+  runtime::RuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>(config)});
+  const runtime::StatsReport empty = manager.stats_report();
+  EXPECT_EQ(empty.verification.cache_entries, 0u);
+  EXPECT_EQ(empty.verification.warm_hints, 0u);
+  EXPECT_EQ(empty.route_cache.entries, 0u);
+
+  const auto first = manager.admit(test::pipeline_app({.stages = 2}));
+  ASSERT_EQ(first.status, runtime::AdmitStatus::Admitted);
+  manager.release(first.app_id);
+  ASSERT_EQ(manager.admit(test::pipeline_app({.stages = 3})).status,
+            runtime::AdmitStatus::Admitted);
+
+  // Two distinct skeletons: two cached outcomes, two warm hints (one per
+  // feasible skeleton), and the routes their channels took.
+  const runtime::StatsReport report = manager.stats_report();
+  EXPECT_EQ(report.verification.cache_entries, engine->cache_size());
+  EXPECT_EQ(report.verification.cache_entries, 2u);
+  EXPECT_EQ(report.verification.warm_hints, 2u);
+  EXPECT_EQ(report.route_cache.entries, routes->size());
+  EXPECT_GT(report.route_cache.entries, 0u);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find(",\"cache_entries\":2,\"warm_hints\":2}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(",\"entries\":" +
+                      std::to_string(report.route_cache.entries) + ","),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace rtsm
