@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -93,6 +94,10 @@ struct BurstFigures {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t conflicts = 0;
+  /// The conflicts caught at a booking, before the plan's step 4 ran.
+  std::uint64_t booking_conflicts = 0;
+  /// Mapping attempts per resolved request (1.0 = no re-plans).
+  double attempts_per_request = 0.0;
   bool replay_ok = true;   ///< final state == serial replay of commits
   bool restore_ok = true;  ///< releasing everything restores pristine
   /// Step-4 verification engine counters of the run's mapper.
@@ -109,6 +114,14 @@ void fill_percentiles(BurstFigures& figures,
   figures.admitted = stats.admitted;
   figures.rejected = stats.rejected;
   figures.conflicts = stats.conflicts;
+  figures.booking_conflicts = stats.booking_conflicts;
+}
+
+double mean_attempts(const std::vector<runtime::AdmitOutcome>& outcomes) {
+  if (outcomes.empty()) return 0.0;
+  double attempts = 0.0;
+  for (const runtime::AdmitOutcome& o : outcomes) attempts += o.attempts;
+  return attempts / static_cast<double>(outcomes.size());
 }
 
 /// Pushes the burst through the serial FIFO manager, one admit at a time.
@@ -120,11 +133,12 @@ BurstFigures run_serial_burst(
   BurstFigures figures;
   const auto start = std::chrono::steady_clock::now();
   for (const auto& app : apps) manager.submit(app);
-  manager.drain();
+  const std::vector<runtime::AdmitOutcome> outcomes = manager.drain();
   figures.wall_ms = wall_ms_since(start);
   figures.throughput_per_s =
       static_cast<double>(apps.size()) / (figures.wall_ms / 1000.0);
   fill_percentiles(figures, manager.stats());
+  figures.attempts_per_request = mean_attempts(outcomes);
 
   for (const AppId id : manager.running_ids()) manager.release(id);
   figures.restore_ok =
@@ -154,10 +168,11 @@ BurstFigures run_concurrent_burst(
   BurstFigures figures;
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> submitters;
+  std::vector<std::future<runtime::AdmitOutcome>> futures(apps.size());
   for (std::uint32_t c = 0; c < clients; ++c) {
     submitters.emplace_back([&, c] {
       for (std::size_t i = c; i < apps.size(); i += clients) {
-        (void)manager.submit(apps[i]);
+        futures[i] = manager.submit(apps[i]);
       }
     });
   }
@@ -167,6 +182,10 @@ BurstFigures run_concurrent_burst(
   figures.throughput_per_s =
       static_cast<double>(apps.size()) / (figures.wall_ms / 1000.0);
   fill_percentiles(figures, manager.stats());
+  std::vector<runtime::AdmitOutcome> outcomes;
+  outcomes.reserve(futures.size());
+  for (auto& f : futures) outcomes.push_back(f.get());
+  figures.attempts_per_request = mean_attempts(outcomes);
 
   // Exactness check 1: the live state must equal a serial replay of the
   // surviving commits — no interleaving may corrupt the bookkeeping.
@@ -200,13 +219,16 @@ void write_json(const std::string& path, std::size_t burst_size,
                  "  \"%s\": {\"wall_ms\": %.3f, \"throughput_per_s\": %.2f, "
                  "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
                  "\"admitted\": %llu, \"rejected\": %llu, "
-                 "\"conflicts\": %llu, \"replay_ok\": %s, "
+                 "\"conflicts\": %llu, \"booking_conflicts\": %llu, "
+                 "\"attempts_per_request\": %.4f, \"replay_ok\": %s, "
                  "\"restore_ok\": %s, \"verify_hit_rate\": %.4f, "
                  "\"verify_events_saved\": %llu",
                  name, b.wall_ms, b.throughput_per_s, b.p50_us, b.p95_us,
                  b.p99_us, static_cast<unsigned long long>(b.admitted),
                  static_cast<unsigned long long>(b.rejected),
                  static_cast<unsigned long long>(b.conflicts),
+                 static_cast<unsigned long long>(b.booking_conflicts),
+                 b.attempts_per_request,
                  b.replay_ok ? "true" : "false",
                  b.restore_ok ? "true" : "false", b.verify.hit_rate(),
                  static_cast<unsigned long long>(b.verify.events_saved));
@@ -410,11 +432,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(serial.admitted));
     std::printf(
         "          %u workers %7.1f ms (%6.1f apps/s, p50 %.0f us, p95 %.0f "
-        "us, p99 %.0f us), admitted %llu, conflicts %llu\n",
+        "us, p99 %.0f us), admitted %llu, conflicts %llu (%llu at "
+        "booking), %.2f attempts per request\n",
         workers, concurrent.wall_ms, concurrent.throughput_per_s,
         concurrent.p50_us, concurrent.p95_us, concurrent.p99_us,
         static_cast<unsigned long long>(concurrent.admitted),
-        static_cast<unsigned long long>(concurrent.conflicts));
+        static_cast<unsigned long long>(concurrent.conflicts),
+        static_cast<unsigned long long>(concurrent.booking_conflicts),
+        concurrent.attempts_per_request);
     std::printf(
         "Verification engine: serial hit rate %.2f (%llu events saved), "
         "concurrent hit rate %.2f (%llu events saved)\n",

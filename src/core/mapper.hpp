@@ -52,6 +52,29 @@ struct MappingResult {
   MappingTrace trace;
 };
 
+/// The caller's live resource state, offered to a mapper that can book its
+/// placement before verifying it (see Mapper::map_booked). Booking between
+/// step 3 and step 4 closes an optimistic admission's conflict window
+/// before the expensive step-4 simulation: a plan outraced during steps
+/// 1-3 is caught at the booking and never simulated, and other planners'
+/// snapshots see the placement while it is being verified.
+class PlanBooking {
+ public:
+  virtual ~PlanBooking() = default;
+
+  /// Books @p placed — process tiles, implementation memory and channel
+  /// routes; no buffers — in the live state, replacing any earlier booking
+  /// of this call. @p planned_on is the snapshot the placement was planned
+  /// against. False when the placement does not fit the live state: the
+  /// mapper's snapshot is stale, and the mapper must give up this call.
+  [[nodiscard]] virtual bool book(const kpn::Application& app,
+                                  const Mapping& placed,
+                                  const ResourceState& planned_on) = 0;
+
+  /// Drops the current booking, if any (its placement failed step 4).
+  virtual void release() = 0;
+};
+
 /// Strategy interface of every spatial mapper in the repository: the paper's
 /// run-time heuristic (SpatialMapper) and all design-time baselines
 /// implement it, so benchmarks, the runtime manager, and tests can select
@@ -87,6 +110,20 @@ class Mapper {
                                           const ResourceState& base,
                                           const CancelToken* cancel) const {
     (void)cancel;
+    return map(app, base);
+  }
+
+  /// map() that books its placement through @p booking once steps 1-3
+  /// have settled and before step 4 runs. A successful result leaves its
+  /// placement booked and returns that placement with its buffers, so the
+  /// caller commits only the buffers; a mapper that gives up releases its
+  /// booking (the caller releases whatever is left as well). The default books nothing and runs map(app, base):
+  /// the caller then validates the whole plan at the end, as for every
+  /// mapper that does not override this.
+  [[nodiscard]] virtual MappingResult map_booked(const kpn::Application& app,
+                                                 const ResourceState& base,
+                                                 PlanBooking& booking) const {
+    (void)booking;
     return map(app, base);
   }
 

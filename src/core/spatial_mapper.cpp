@@ -107,6 +107,19 @@ MappingResult SpatialMapper::map(const kpn::Application& app,
 MappingResult SpatialMapper::map(const kpn::Application& app,
                                  const ResourceState& base,
                                  const CancelToken* cancel) const {
+  return run(app, base, cancel, nullptr);
+}
+
+MappingResult SpatialMapper::map_booked(const kpn::Application& app,
+                                        const ResourceState& base,
+                                        PlanBooking& booking) const {
+  return run(app, base, nullptr, config_.run_step4 ? &booking : nullptr);
+}
+
+MappingResult SpatialMapper::run(const kpn::Application& app,
+                                 const ResourceState& base,
+                                 const CancelToken* cancel,
+                                 PlanBooking* booking) const {
   app.validate();
 
   MappingResult result;
@@ -139,8 +152,20 @@ MappingResult SpatialMapper::map(const kpn::Application& app,
     if (status == StageStatus::Proceed) {
       status = route_channels(ctx, config_, result, feedback);
     }
+    // Book the placement before its step-4 simulation: the snapshot may
+    // have gone stale during steps 1-3, and a stale plan is cheapest to
+    // drop here. A booking conflict ends the call; the caller re-plans.
+    if (status == StageStatus::Proceed && booking != nullptr &&
+        !booking->book(app, mapping, base)) {
+      rt.outcome = "booking conflict: the placement no longer fits";
+      result.failure = rt.outcome;
+      return result;
+    }
     if (status == StageStatus::Proceed) {
       status = verify_constraints(ctx, config_, result, feedback);
+      if (status != StageStatus::Proceed && booking != nullptr) {
+        booking->release();
+      }
     }
 
     if (status == StageStatus::Abort) return result;

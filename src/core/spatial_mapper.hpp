@@ -83,6 +83,13 @@ class SpatialMapper final : public Mapper {
                                   const ResourceState& base,
                                   const CancelToken* cancel) const override;
 
+  /// Books each round's placement after step 3 and releases it when that
+  /// round's step 4 fails. A booking conflict ends the call unsuccessful.
+  /// Without step 4 (run_step4 = false) nothing is booked.
+  [[nodiscard]] MappingResult map_booked(
+      const kpn::Application& app, const ResourceState& base,
+      PlanBooking& booking) const override;
+
   [[nodiscard]] std::shared_ptr<verify::Engine> verification_engine()
       const override {
     return config_.engine;
@@ -93,6 +100,13 @@ class SpatialMapper final : public Mapper {
   }
 
  private:
+  /// The refinement loop behind every map() entry point; @p cancel and
+  /// @p booking may be null.
+  [[nodiscard]] MappingResult run(const kpn::Application& app,
+                                  const ResourceState& base,
+                                  const CancelToken* cancel,
+                                  PlanBooking* booking) const;
+
   MapperConfig config_;
 };
 

@@ -33,7 +33,10 @@ struct BufferSizingConfig {
   /// ONE simulation on this graph; its verified verdict then seeds the
   /// monotone dominance oracle (throughput is non-decreasing in every
   /// capacity), letting the search skip simulations whose outcome the
-  /// verdict already implies. The chosen capacities are identical with
+  /// verdict already implies. A feasible hint costs the lower-bound-first
+  /// probe nothing extra: when the hint is the lower bound the probe is
+  /// its cached run, otherwise the hint implies the upper-bound gate the
+  /// probe would have replaced. The chosen capacities are identical with
   /// and without the hint whenever the windowed period measurement is
   /// monotone in the capacities — the normal case, asserted by the
   /// equivalence property test; if the final re-check ever catches a
@@ -85,11 +88,22 @@ struct BufferSizingResult {
 ///
 /// Method: throughput under the simulator's conservative firing rule is
 /// monotonically non-decreasing in every capacity, so a per-edge lower bound
-/// is first established structurally, feasibility is checked at a generous
-/// upper bound, a common interpolation factor is found by binary search, and
-/// each edge is then individually trimmed by binary search (largest first).
-/// The result is feasible and per-edge minimal w.r.t. single-edge reduction;
-/// capacities of edges not listed in @p edges are left untouched.
+/// is first established structurally and simulated. When it meets the
+/// target it is the answer (one simulation). Otherwise feasibility is
+/// checked at a generous upper bound, a common interpolation factor is
+/// found by binary search, and each edge is then individually trimmed by
+/// binary search (largest first). The result is feasible and per-edge
+/// minimal w.r.t. single-edge reduction; capacities of edges not listed in
+/// @p edges are left untouched.
+///
+/// Searching from the bottom up returns the same capacities as checking
+/// the upper bound first, with one exception: the windowed period is not
+/// monotone in the capacities, so on rare graphs the lower bound meets the
+/// target while the upper bound's window misses it. Those graphs are now
+/// feasible at the lower bound, a verdict its own simulation confirms,
+/// where an upper-first search rejected them. A graph that misses even at
+/// the upper bound runs one simulation more than upper-first (the lower
+/// bound's), and reports the same upper-bound failure message.
 ///
 /// @p graph is modified: on success the chosen capacities remain set.
 [[nodiscard]] BufferSizingResult size_buffers(Graph& graph,

@@ -19,6 +19,41 @@
 
 namespace rtsm::runtime {
 
+/// One placement booked in the live state between the mapper's step 3 and
+/// step 4. Only the planning thread touches it outside the state lock;
+/// while it is held, the manager's bookings_ list points at it so that the
+/// audit counts it as live. Whatever is still held on destruction is
+/// released, so an exception or an early return cannot leak a booking.
+class ConcurrentRuntimeManager::Booking final : public core::PlanBooking {
+ public:
+  Booking(ConcurrentRuntimeManager& owner,
+          std::shared_ptr<const kpn::Application> booked_app)
+      : manager(owner), app(std::move(booked_app)) {}
+  Booking(const Booking&) = delete;
+  Booking& operator=(const Booking&) = delete;
+  ~Booking() override { release(); }
+
+  bool book(const kpn::Application& booked_app, const core::Mapping& placed,
+            const core::ResourceState& planned_on) override {
+    require(&booked_app == app.get(), "booking of a foreign application");
+    return manager.book_placement(*this, placed, planned_on);
+  }
+
+  void release() override {
+    if (held) manager.release_booking(*this);
+  }
+
+  ConcurrentRuntimeManager& manager;
+  std::shared_ptr<const kpn::Application> app;
+  /// The booked placement (no buffers); meaningful while held.
+  core::Mapping placed{0, 0};
+  bool held = false;
+  /// The last book() found no room in the live state.
+  bool conflicted = false;
+  /// The held booking took the version gate instead of re-validating.
+  bool gated = false;
+};
+
 ConcurrentRuntimeManager::ConcurrentRuntimeManager(
     const arch::Platform& platform, ManagerOptions manager,
     ConcurrentOptions options)
@@ -201,9 +236,11 @@ void ConcurrentRuntimeManager::process_batch(std::vector<Request> batch,
 }
 
 core::MappingResult ConcurrentRuntimeManager::run_mapper(
-    Request& request, const core::ResourceState& base) {
+    Request& request, const core::ResourceState& base, Booking* booking) {
   const auto start = std::chrono::steady_clock::now();
-  core::MappingResult result = mapper_->map(*request.app, base);
+  core::MappingResult result =
+      booking != nullptr ? mapper_->map_booked(*request.app, base, *booking)
+                         : mapper_->map(*request.app, base);
   request.mapping_us += elapsed_us(start);
   map_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   ++request.attempts;
@@ -281,6 +318,124 @@ bool ConcurrentRuntimeManager::validate_and_commit(
     audit_check("commit");
 #endif
   }
+  resolve_admitted(request, result, id, shape_hit);
+  return true;
+}
+
+bool ConcurrentRuntimeManager::book_placement(
+    Booking& booking, const core::Mapping& placed,
+    const core::ResourceState& planned_on) {
+  booking.release();
+  booking.conflicted = false;
+  const kpn::Application& app = *booking.app;
+  // Pre-validate against the snapshot the placement was planned on,
+  // outside any lock. A placement that does not fit its own snapshot is a
+  // mapper failure, not a conflict; a pass arms the version gate below.
+  const auto validate_start = std::chrono::steady_clock::now();
+  const bool fits_snapshot = core::mapping_fits(planned_on, app, placed);
+  validate_ns_.fetch_add(elapsed_ns(validate_start),
+                         std::memory_order_relaxed);
+  if (!fits_snapshot) return false;
+  // Not in bookings_ yet, so nothing else reads it.
+  booking.placed = placed;
+
+  const audit::LockGuard lock(state_mutex_);
+  // Version gate, as in validate_and_commit: a snapshot still synced with
+  // the live state is bit-identical to it, so the check above already
+  // proved the booking fits.
+  booking.gated = planned_on.synced_with(state_);
+  if (!booking.gated) {
+    const auto start = std::chrono::steady_clock::now();
+    const bool fits = core::mapping_fits(state_, app, placed);
+    validate_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
+    if (!fits) {
+      booking.conflicted = true;
+      return false;
+    }
+  }
+  const auto commit_start = std::chrono::steady_clock::now();
+  core::commit_mapping(state_, app, placed);
+  commit_ns_.fetch_add(elapsed_ns(commit_start), std::memory_order_relaxed);
+  booking.held = true;
+  bookings_.push_back(&booking);
+#if RTSM_AUDIT
+  audit_check("book");
+#endif
+  return true;
+}
+
+void ConcurrentRuntimeManager::release_booking(Booking& booking) {
+  const audit::LockGuard lock(state_mutex_);
+  release_booking_locked(booking);
+}
+
+void ConcurrentRuntimeManager::release_booking_locked(Booking& booking) {
+  core::release_mapping(state_, *booking.app, booking.placed);
+  std::erase(bookings_, &booking);
+  booking.held = false;
+#if RTSM_AUDIT
+  audit_check("unbook");
+#endif
+}
+
+bool ConcurrentRuntimeManager::commit_booked(Request& request,
+                                             core::MappingResult& result,
+                                             Booking& booking) {
+  const kpn::Application& app = *request.app;
+  AppId id;
+  {
+    const audit::LockGuard lock(state_mutex_);
+    const auto commit_start = std::chrono::steady_clock::now();
+    // The placement has been live since the booking; only the buffers are
+    // new. Step 4 fitted them against the snapshot, and a racing commit
+    // may have filled a consumer's memory since, so each is checked
+    // against the live state (a misfit rolls the earlier ones back).
+    std::vector<std::pair<TileId, std::uint64_t>> buffers;
+    buffers.reserve(app.channel_count());
+    bool fits = true;
+    for (const ChannelId cid : app.channel_ids()) {
+      const auto tokens = result.mapping.buffer_tokens(cid);
+      if (!tokens) continue;
+      const kpn::Channel& c = app.channel(cid);
+      const TileId tile = result.mapping.tile_of(c.dst);
+      const std::uint64_t bytes =
+          static_cast<std::uint64_t>(*tokens) * c.token_bytes;
+      if (!state_.tile_fits(tile, 0.0, bytes, 0)) {
+        fits = false;
+        break;
+      }
+      state_.reserve_tile(tile, 0.0, bytes, 0);
+      buffers.emplace_back(tile, bytes);
+    }
+    if (!fits) {
+      for (const auto& [tile, bytes] : buffers) {
+        state_.release_tile(tile, 0.0, bytes, 0);
+      }
+      release_booking_locked(booking);
+      commit_ns_.fetch_add(elapsed_ns(commit_start),
+                           std::memory_order_relaxed);
+      return false;
+    }
+    commit_ns_.fetch_add(elapsed_ns(commit_start), std::memory_order_relaxed);
+    (booking.gated ? gated_commits_ : validated_commits_)
+        .fetch_add(1, std::memory_order_relaxed);
+    std::erase(bookings_, &booking);
+    booking.held = false;
+    id = AppId{next_app_.fetch_add(1)};
+    running_.emplace(id, RunningApp{request.app, result.mapping,
+                                    result.energy_nj_per_symbol, request.cls,
+                                    request.id});
+#if RTSM_AUDIT
+    audit_check("commit");
+#endif
+  }
+  resolve_admitted(request, result, id, /*shape_hit=*/false);
+  return true;
+}
+
+void ConcurrentRuntimeManager::resolve_admitted(Request& request,
+                                                core::MappingResult& result,
+                                                AppId id, bool shape_hit) {
   // Learn-on-admit: a committed miss-path placement enters the library
   // (outside the state lock — the library has its own mutex) so future
   // structurally equal arrivals take the shape hot path.
@@ -301,7 +456,6 @@ bool ConcurrentRuntimeManager::validate_and_commit(
   outcome.portfolio_winner = std::move(request.portfolio_winner);
   outcome.mapping = std::move(result);
   resolve(std::move(request), std::move(outcome));
-  return true;
 }
 
 void ConcurrentRuntimeManager::snapshot_state_into(
@@ -424,7 +578,9 @@ void ConcurrentRuntimeManager::process_request(
 
   // Phase 2 — whole-platform optimistic loop: map on a snapshot outside
   // any lock, re-validate + commit under the state lock, re-map on
-  // conflict.
+  // conflict. A booking mapper validates and books its placement before
+  // step 4 instead, so the conflict window closes before the simulation
+  // and only the buffers are left to commit.
   std::uint32_t conflicts = 0;
   while (true) {
     // Epoch before the snapshot: if a release advances it while this
@@ -434,14 +590,22 @@ void ConcurrentRuntimeManager::process_request(
     snapshot_state_into(scratch);
     // A conflict retry re-races on the fresh snapshot (fresh budget): the
     // strategies' relative quality may change with the changed state.
-    core::MappingResult result = portfolio_ != nullptr
-                                     ? run_race(request, scratch)
-                                     : run_mapper(request, scratch);
+    std::optional<Booking> booking;
+    core::MappingResult result =
+        portfolio_ != nullptr
+            ? run_race(request, scratch)
+            : run_mapper(request, scratch,
+                         &booking.emplace(*this, request.app));
+    const bool booking_conflict = booking && booking->conflicted;
+    // Nothing that resolves or re-plans below may leave a booking behind.
+    const bool booked = result.success && booking && booking->held;
+    if (booking && !booked) booking->release();
     if (request.deadline_us > 0.0 && request.mapping_us > request.deadline_us) {
+      booking.reset();
       miss(std::move(request));
       return;
     }
-    if (result.success) {
+    if (result.success && !booked) {
       // Pre-validate against the scratch the plan was made on, outside
       // any lock. This is the serial manager's design-time-baseline
       // screen (a plan that does not fit its own snapshot is a mapper
@@ -458,11 +622,16 @@ void ConcurrentRuntimeManager::process_request(
         result.failure = "mapping does not fit the residual resources";
       }
     }
-    if (result.success) {
-      if (validate_and_commit(request, result, &scratch)) return;
+    if (result.success || booking_conflict) {
+      const bool committed =
+          booked ? commit_booked(request, result, *booking)
+                 : result.success &&
+                       validate_and_commit(request, result, &scratch);
+      if (committed) return;
       {
         const audit::LockGuard lock(stats_mutex_);
         ++stats_.conflicts;
+        if (booking_conflict) ++stats_.booking_conflicts;
       }
       if (++conflicts <= options_.validation_retries) continue;
       result.success = false;
@@ -976,9 +1145,13 @@ std::vector<RequestId> ConcurrentRuntimeManager::resolution_order() const {
 #if RTSM_AUDIT
 void ConcurrentRuntimeManager::audit_check(const char* where) const {
   std::vector<audit::LiveApp> running;
-  running.reserve(running_.size());
+  running.reserve(running_.size() + bookings_.size());
   for (const auto& [id, run] : running_) {
     running.push_back({run.app, &run.mapping});
+  }
+  // A pending booking's placement is live too: its step 4 is running.
+  for (const Booking* booking : bookings_) {
+    running.push_back({booking->app, &booking->placed});
   }
   audit::audit_state(state_, running,
                      std::string("concurrent_manager/") + where);

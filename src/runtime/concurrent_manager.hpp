@@ -68,6 +68,14 @@ struct ConcurrentOptions {
 /// classic optimistic-concurrency loop, which works because admissions
 /// rarely contend for the same tiles on a large platform.
 ///
+/// A mapper that books (core::Mapper::map_booked; the SpatialMapper does)
+/// shortens that loop's conflict window to steps 1-3: its placement is
+/// validated and booked in the live state before the step-4 simulation,
+/// which then runs outside the lock, and the final commit adds only the
+/// buffers. A failed step 4, a deadline miss or an exception releases the
+/// booking. Portfolio races, shape hits, the shard phase and mappers that
+/// do not book still validate the whole plan at the end.
+///
 /// Semantics relative to the serial RuntimeManager:
 /// - submit() returns a std::future<AdmitOutcome> instead of feeding a
 ///   drain() stream; resolution order across racing requests is
@@ -274,9 +282,16 @@ class ConcurrentRuntimeManager {
   /// validation_retries). True when the request was resolved.
   bool try_shape_admit(Request& request, core::ResourceState& scratch);
 
-  /// One mapping attempt against @p base; updates attempt counters.
+  /// The manager's side of core::PlanBooking (defined in the .cpp): one
+  /// placement booked in state_ while its step 4 runs, released on
+  /// destruction unless commit_booked() consumed it.
+  class Booking;
+
+  /// One mapping attempt against @p base; updates attempt counters. With
+  /// @p booking the mapper may book its placement before step 4.
   core::MappingResult run_mapper(Request& request,
-                                 const core::ResourceState& base);
+                                 const core::ResourceState& base,
+                                 Booking* booking = nullptr);
 
   /// One portfolio race against @p base: strategies 1..N-1 are offered to
   /// idle workers as helper jobs (try_push — the owner must never block on
@@ -303,6 +318,26 @@ class ConcurrentRuntimeManager {
   bool validate_and_commit(Request& request, core::MappingResult& result,
                            const core::ResourceState* planned_on = nullptr,
                            bool shape_hit = false);
+
+  /// Final commit of a plan whose placement @p booking holds: adds only
+  /// the buffers, each checked with tile_fits against the live state, and
+  /// turns the booking into a running application. False on a buffer
+  /// misfit (a conflict); the booking is then released.
+  bool commit_booked(Request& request, core::MappingResult& result,
+                     Booking& booking);
+
+  /// Booking internals: validate @p placed against the live state (or take
+  /// the version gate when @p planned_on is still synced with it) and book
+  /// it; false when it does not fit. Release undoes a held booking.
+  bool book_placement(Booking& booking, const core::Mapping& placed,
+                      const core::ResourceState& planned_on);
+  void release_booking(Booking& booking);
+  void release_booking_locked(Booking& booking) RTSM_REQUIRES(state_mutex_);
+
+  /// Resolves @p request as admitted under @p id after its commit, and
+  /// learns a miss-path placement into the shape library.
+  void resolve_admitted(Request& request, core::MappingResult& result,
+                        AppId id, bool shape_hit);
 
   /// Refreshes @p out from the live state under the state lock: deltas
   /// since @p out's last sync are replayed from the state's journal
@@ -333,10 +368,10 @@ class ConcurrentRuntimeManager {
   void park_evicted(std::vector<Request> evicted);
 
 #if RTSM_AUDIT
-  /// RTSM_AUDIT boundary hook: rebuilds the books from running_ via
-  /// audit::check_state and reports any drift as a violation. Called at
-  /// every commit/release/defrag/switch/preemption boundary, under
-  /// state_mutex_.
+  /// RTSM_AUDIT boundary hook: rebuilds the books from running_ and the
+  /// pending bookings via audit::check_state and reports any drift as a
+  /// violation. Called at every commit/release/defrag/switch/preemption
+  /// and booking boundary, under state_mutex_.
   void audit_check(const char* where) const RTSM_REQUIRES(state_mutex_);
 #endif
 
@@ -389,6 +424,9 @@ class ConcurrentRuntimeManager {
                                     "manager.state"};
   core::ResourceState state_ RTSM_GUARDED_BY(state_mutex_);
   std::map<AppId, RunningApp> running_ RTSM_GUARDED_BY(state_mutex_);
+  /// Placements booked in state_ whose step 4 is still running: live
+  /// resources that running_ does not account for yet.
+  std::vector<const Booking*> bookings_ RTSM_GUARDED_BY(state_mutex_);
 
   /// Observer-path snapshot buffer: state_snapshot() delta-refreshes this
   /// scratch under the state lock and copies it out under observer_mutex_

@@ -588,6 +588,7 @@ AdmissionStats FleetTarget::stats() const {
     sum.releases += s.releases;
     sum.release_errors += s.release_errors;
     sum.conflicts += s.conflicts;
+    sum.booking_conflicts += s.booking_conflicts;
     sum.defrag_passes += s.defrag_passes;
     sum.migrations += s.migrations;
     sum.migration_failures += s.migration_failures;

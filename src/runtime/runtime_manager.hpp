@@ -130,7 +130,12 @@ struct AdmissionStats {
   std::uint64_t release_errors = 0;  ///< Unknown-id / double releases.
   /// Optimistic validation conflicts: a plan stopped fitting between
   /// snapshot and commit and was re-mapped (concurrent manager only).
+  /// The total, booking_conflicts included.
   std::uint64_t conflicts = 0;
+  /// The conflicts caught when the mapper booked its placement in the live
+  /// state between steps 3 and 4, before its step-4 simulation ran (see
+  /// core::PlanBooking).
+  std::uint64_t booking_conflicts = 0;
 
   /// Sharded-mode requests that fell back to whole-platform admission
   /// after their stripe could not host them (concurrent manager only).

@@ -48,6 +48,7 @@ std::string StatsReport::to_json() const {
       << ",\"retries\":" << a.retries << ",\"releases\":" << a.releases
       << ",\"release_errors\":" << a.release_errors
       << ",\"conflicts\":" << a.conflicts
+      << ",\"booking_conflicts\":" << a.booking_conflicts
       << ",\"shard_fallbacks\":" << a.shard_fallbacks
       << ",\"snapshot_reuses\":" << a.snapshot_reuses
       << ",\"mean_latency_us\":" << num(a.mean_latency_us())
@@ -114,6 +115,7 @@ std::string StatsReport::to_json() const {
       << ",\"simulations\":" << verification.simulations
       << ",\"events_simulated\":" << verification.events_simulated
       << ",\"events_skipped\":" << verification.events_skipped
+      << ",\"dominance_skips\":" << verification.dominance_skips
       << ",\"simulations_saved\":" << verification.simulations_saved
       << ",\"events_saved\":" << verification.events_saved
       << ",\"cache_entries\":" << verification.cache_entries

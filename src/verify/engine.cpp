@@ -89,6 +89,7 @@ VerificationOutcome compute_verification(
   out.simulations = sizing.simulations;
   out.events_simulated = sizing.events_simulated;
   out.events_skipped = sizing.events_skipped;
+  out.dominance_skips = sizing.dominance_skips;
   out.warm_started = sizing.warm_started;
   if (sizing.feasible) {
     out.buffer_tokens = sizing.capacities;
@@ -146,6 +147,7 @@ std::shared_ptr<const VerificationOutcome> Engine::verify(
     stats_.simulations += outcome->simulations;
     stats_.events_simulated += outcome->events_simulated;
     stats_.events_skipped += outcome->events_skipped;
+    stats_.dominance_skips += outcome->dominance_skips;
     if (options_.warm_start && outcome->feasible) {
       const auto [it, inserted] =
           warm_hints_.insert_or_assign(skeleton, outcome->buffer_tokens);

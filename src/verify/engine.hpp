@@ -47,6 +47,10 @@ struct EngineStats {
   /// Firings of events_simulated the periodic fast-forward skipped.
   std::uint64_t events_skipped = 0;
 
+  /// Sizing verdicts of misses implied by monotone dominance instead of
+  /// simulated (see csdf::BufferSizingConfig::warm_start).
+  std::uint64_t dominance_skips = 0;
+
   /// Simulations / firings the cached computation of each hit originally
   /// cost — a (conservative) lower bound on the work every hit saved:
   /// when the cached entry was itself warm-started, a fresh cold

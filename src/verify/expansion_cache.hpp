@@ -50,6 +50,10 @@ struct VerificationOutcome {
   /// fast-forward rather than executed.
   std::uint64_t events_skipped = 0;
 
+  /// Sizing verdicts the monotone dominance oracle implied instead of a
+  /// simulation (csdf::BufferSizingResult::dominance_skips).
+  std::uint64_t dominance_skips = 0;
+
   /// True when the computation was warm-started from a previous feasible
   /// solution's capacities.
   bool warm_started = false;

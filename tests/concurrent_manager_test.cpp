@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "booking_probe.hpp"
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
 #include "runtime/request_queue.hpp"
+#include "runtime/stats_report.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -630,6 +634,239 @@ TEST(ConcurrentRuntimeManager, DeadlineMissBooksNothing) {
   EXPECT_EQ(manager.stats().deadline_misses, 1u);
   EXPECT_TRUE(
       manager.state_snapshot().approx_equals(core::ResourceState(platform)));
+}
+
+// ------------------------------------------- booking before step 4 --
+
+/// The booking-release oracle: the live books equal a serial replay of the
+/// survivors, and releasing every survivor restores the pristine platform.
+void expect_books_balance_and_release_all(const arch::Platform& platform,
+                                          ConcurrentRuntimeManager& cm) {
+  expect_state_equals_serial_replay(platform, cm);
+  for (const AppId id : cm.running_ids()) EXPECT_TRUE(cm.release(id));
+  EXPECT_TRUE(
+      cm.state_snapshot().approx_equals(core::ResourceState(platform)))
+      << "releasing every survivor left resources booked";
+}
+
+kpn::Application period_bound_app(std::uint64_t period_ns) {
+  test::PipelineSpec spec;
+  spec.stages = 2;
+  spec.period_ns = period_ns;
+  return test::pipeline_app(spec);
+}
+
+TEST(ConcurrentBooking, FailedStepFourReleasesTheBooking) {
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::vector<bool> visible;  // placement live in the books while booked
+  ConcurrentRuntimeManager manager(platform, {.mapper = probe},
+                                   {.workers = 0});
+  probe->after_book = [&](int) {
+    visible.push_back(!manager.state_snapshot().approx_equals(
+        core::ResourceState(platform)));
+  };
+
+  // At 1.2 us per symbol steps 1-3 succeed but step 4 cannot reach the
+  // period; the next round runs out of implementations. One booking, and
+  // the mapper releases it.
+  const AdmitOutcome rejected = manager.admit(period_bound_app(1200));
+  EXPECT_EQ(rejected.status, AdmitStatus::Rejected);
+  EXPECT_NE(rejected.mapping.failure.find("step 1 failed"), std::string::npos)
+      << rejected.mapping.failure;
+  EXPECT_EQ(probe->books.load(), 1);
+  EXPECT_EQ(probe->releases.load(), 1);
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(core::ResourceState(platform)));
+
+  // At 2 us the first round's step 4 fails, the refined round succeeds:
+  // booked, released, booked again and committed.
+  const AdmitOutcome admitted = manager.admit(period_bound_app(2000));
+  ASSERT_EQ(admitted.status, AdmitStatus::Admitted)
+      << admitted.mapping.failure;
+  EXPECT_GE(admitted.mapping.rounds, 2u);
+  EXPECT_EQ(probe->books.load(), 1 + static_cast<int>(admitted.mapping.rounds));
+  EXPECT_EQ(probe->releases.load(), static_cast<int>(admitted.mapping.rounds));
+  EXPECT_EQ(probe->refusals.load(), 0);
+  EXPECT_EQ(visible, std::vector<bool>(visible.size(), true));
+
+  const AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.conflicts, 0u);
+  EXPECT_EQ(stats.booking_conflicts, 0u);
+  EXPECT_EQ(stats.gated_commits + stats.validated_commits, stats.admitted);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+TEST(ConcurrentBooking, DeadlineMissAfterBookingReleasesIt) {
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  ConcurrentRuntimeManager manager(platform, {.mapper = probe},
+                                   {.workers = 1, .queue_capacity = 8});
+  const AdmitOutcome survivor = manager.admit(compute_app(2));
+  ASSERT_EQ(survivor.status, AdmitStatus::Admitted);
+
+  const AdmitOutcome missed = manager.admit(compute_app(2), 1e-3);
+  EXPECT_EQ(missed.status, AdmitStatus::DeadlineMiss);
+  EXPECT_EQ(probe->books.load(), 2) << "the late plan was never booked";
+  EXPECT_EQ(manager.running_count(), 1u);
+  EXPECT_EQ(manager.stats().deadline_misses, 1u);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+TEST(ConcurrentBooking, ShutdownWithAPlanInFlight) {
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> booked;
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  probe->after_book = [&](int arrival) {
+    if (arrival != 1) return;
+    booked.set_value();
+    resumed.wait();  // hold the placement booked, step 4 not yet run
+  };
+  ConcurrentRuntimeManager manager(platform, {.mapper = probe},
+                                   {.workers = 1, .queue_capacity = 8});
+  auto in_flight =
+      manager.submit(std::make_shared<kpn::Application>(compute_app(2)));
+  booked.get_future().wait();
+  EXPECT_FALSE(
+      manager.state_snapshot().approx_equals(core::ResourceState(platform)))
+      << "a booked placement must be visible to later snapshots";
+  auto queued =
+      manager.submit(std::make_shared<kpn::Application>(compute_app(2)));
+
+  std::thread closer([&] { manager.shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  resume.set_value();
+  closer.join();
+
+  // Queued work still drains at shutdown: both plans resolve, and the
+  // books hold exactly the survivors.
+  const AdmitOutcome first = in_flight.get();
+  EXPECT_EQ(first.status, AdmitStatus::Admitted) << first.mapping.failure;
+  const AdmitOutcome second = queued.get();
+  EXPECT_NE(second.status, AdmitStatus::Waiting);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+TEST(ConcurrentBooking, BookingConflictCountsAgainstTheRetryBudget) {
+  // Two one-stage apps plan the same single-slot tile on the same empty
+  // snapshot. The first to reach its booking waits until the second has
+  // booked, then conflicts and re-plans onto the next tile.
+  const auto platform = row_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> second_booked;
+  std::shared_future<void> second = second_booked.get_future().share();
+  probe->before_book = [&](int arrival) {
+    if (arrival == 1) {
+      EXPECT_EQ(second.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready);
+    }
+  };
+  probe->after_book = [&](int arrival) {
+    if (arrival == 2) second_booked.set_value();
+  };
+  ConcurrentRuntimeManager manager(
+      platform, {.mapper = probe},
+      {.workers = 2, .queue_capacity = 8, .max_batch = 1});
+  const auto app = std::make_shared<kpn::Application>(fixture_app(1));
+  auto a = manager.submit(app);
+  auto b = manager.submit(app);
+  const AdmitOutcome oa = a.get();
+  const AdmitOutcome ob = b.get();
+  ASSERT_EQ(oa.status, AdmitStatus::Admitted) << oa.mapping.failure;
+  ASSERT_EQ(ob.status, AdmitStatus::Admitted) << ob.mapping.failure;
+  EXPECT_EQ(oa.attempts + ob.attempts, 3u) << "one request re-planned once";
+  EXPECT_NE(manager.mapping_of(oa.app_id).tile_of(ProcessId{0}),
+            manager.mapping_of(ob.app_id).tile_of(ProcessId{0}));
+  EXPECT_EQ(probe->refusals.load(), 1);
+
+  const StatsReport report = manager.stats_report();
+  EXPECT_EQ(report.admission.conflicts, 1u);
+  EXPECT_EQ(report.admission.booking_conflicts, 1u);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"conflicts\":1,\"booking_conflicts\":1,"),
+            std::string::npos)
+      << json;
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+/// Two "PE" tiles with two process slots and 64 KiB each.
+arch::Platform two_tile_platform() {
+  arch::Platform p("two tiles", 2, 1);
+  const TileTypeId pe = p.add_tile_type("PE", 200'000'000);
+  p.add_tile("T0", pe, 0, 0, 64 * 1024, /*process_slots=*/2);
+  p.add_tile("T1", pe, 1, 0, 64 * 1024, /*process_slots=*/2);
+  return p;
+}
+
+/// S0 -> S1 on "PE" tiles: @p tokens 4-byte tokens per symbol, and every
+/// implementation takes @p wcet_cc cycles of a 4 us period and @p memory
+/// bytes.
+kpn::Application pe_pair(const std::string& name, std::uint32_t tokens,
+                         std::uint32_t wcet_cc, std::uint64_t memory) {
+  kpn::QosConstraints qos;
+  qos.symbol_period_ns = 4000;
+  kpn::Application app(name, qos);
+  const ProcessId s0 = app.add_process("S0");
+  const ProcessId s1 = app.add_process("S1");
+  const ChannelId c = app.connect(s0, s1, tokens);
+  for (const ProcessId pid : {s0, s1}) {
+    kpn::Implementation im;
+    im.name = app.process(pid).name + "@PE";
+    im.tile_type = "PE";
+    im.wcet_cc = {wcet_cc};
+    if (pid == s0) im.outputs.push_back({c, {tokens}});
+    if (pid == s1) im.inputs.push_back({c, {tokens}});
+    im.energy_nj_per_symbol = 100.0;
+    im.memory_bytes = memory;
+    app.add_implementation(pid, std::move(im));
+  }
+  app.validate();
+  return app;
+}
+
+TEST(ConcurrentBooking, BufferMisfitAtFinalCommitIsAConflict) {
+  // A books one stage per tile (each stage needs 62.5% of a tile), then
+  // waits before its step 4. B, planned on a snapshot that shows A's
+  // booking but not A's buffer, takes the free slot and almost all the
+  // memory of both tiles. A's buffer no longer fits its consumer tile:
+  // the final commit conflicts, releases A's booking, and the re-plan
+  // finds no memory left.
+  const auto platform = two_tile_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> a_booked;
+  std::promise<void> b_admitted;
+  std::shared_future<void> b_done = b_admitted.get_future().share();
+  probe->after_book = [&](int arrival) {
+    if (arrival != 1) return;
+    a_booked.set_value();
+    EXPECT_EQ(b_done.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  };
+  ConcurrentRuntimeManager manager(
+      platform, {.mapper = probe},
+      {.workers = 2, .queue_capacity = 8, .max_batch = 1});
+
+  const std::uint64_t memory = 4 * 1024;
+  auto a = manager.submit(std::make_shared<kpn::Application>(
+      pe_pair("A", /*tokens=*/64, /*wcet_cc=*/500, memory)));
+  a_booked.get_future().wait();
+  // 4 KiB of A and B's 4-byte buffer leave one byte free on B's consumer
+  // tile; the other tile keeps at most B's buffer size plus one byte.
+  const AdmitOutcome b = manager.admit(pe_pair(
+      "B", /*tokens=*/1, /*wcet_cc=*/100, 64 * 1024 - memory - 4 - 1));
+  ASSERT_EQ(b.status, AdmitStatus::Admitted) << b.mapping.failure;
+  b_admitted.set_value();
+
+  const AdmitOutcome oa = a.get();
+  EXPECT_EQ(oa.status, AdmitStatus::Rejected);
+  EXPECT_EQ(oa.attempts, 2u);
+  const AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.conflicts, 1u);
+  EXPECT_EQ(stats.booking_conflicts, 0u) << "the booking itself fitted";
+  EXPECT_EQ(manager.running_count(), 1u);
+  expect_books_balance_and_release_all(platform, manager);
 }
 
 }  // namespace

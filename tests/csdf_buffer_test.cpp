@@ -48,9 +48,10 @@ TEST(BufferSizing, FindsFeasibleCapacities) {
   }
 }
 
-// The sizer simulates each capacity vector at most once: here the upper
-// bound gate and the lower bound, which already meets the target and is
-// therefore chosen; the reporting run reuses the lower bound's result.
+// The sizer simulates each capacity vector at most once. Here the lower
+// bound, simulated first, already meets the target, so it is the answer
+// without an upper-bound gate: one simulation, whose result the reporting
+// run reuses.
 TEST(BufferSizing, FinalReportReusesTheChosenVectorsSimulation) {
   Pipeline pl;
   BufferSizingConfig cfg;
@@ -60,8 +61,8 @@ TEST(BufferSizing, FinalReportReusesTheChosenVectorsSimulation) {
   const auto result = size_buffers(pl.g, {pl.pm, pl.mc}, cfg);
   ASSERT_TRUE(result.feasible) << result.message;
   EXPECT_EQ(result.capacities, (std::vector<std::uint32_t>{1, 1}));
-  EXPECT_EQ(result.simulations, 2u);
-  EXPECT_EQ(result.events_simulated, 150u);
+  EXPECT_EQ(result.simulations, 1u);
+  EXPECT_EQ(result.events_simulated, 75u);
 
   // The reused figures are those of a fresh run on the sized graph.
   const auto rv = repetition_vector(pl.g);
@@ -93,6 +94,63 @@ TEST(BufferSizing, ImpossiblePeriodReported) {
   EXPECT_FALSE(result.feasible);
   EXPECT_FALSE(result.message.empty());
   EXPECT_GT(result.achieved_period_ps, 50u);
+}
+
+// A graph that misses even at the upper bound pays the lower bound's run
+// on top of the gate's, and reports the gate's failure as before.
+TEST(BufferSizing, UpperInfeasibleGraphKeepsTheUpperBoundMessage) {
+  Pipeline pl;
+  BufferSizingConfig cfg;
+  cfg.target_period_ps = 50;
+  cfg.reference = pl.c;
+  const auto result = size_buffers(pl.g, {pl.pm, pl.mc}, cfg);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.message,
+            "target period unreachable even with generous buffers: achieved "
+            "100ps > target 50ps");
+  EXPECT_EQ(result.simulations, 2u);
+  EXPECT_EQ(*pl.g.edge(pl.pm).capacity, 4u);  // the upper bound stays set
+}
+
+/// A -> B1 -> B2 -> B3 -> D plus a direct A -> D edge: at period 100 the
+/// direct edge must hold the tokens in flight along the long path, so the
+/// answer lies above the structural lower bound.
+struct ForkJoin {
+  Graph g;
+  ActorId a, d;
+  std::vector<EdgeId> edges;
+  ForkJoin() {
+    a = g.add_actor("A", {100});
+    const ActorId b1 = g.add_actor("B1", {100});
+    const ActorId b2 = g.add_actor("B2", {100});
+    const ActorId b3 = g.add_actor("B3", {100});
+    d = g.add_actor("D", {100});
+    edges = {g.add_edge(make_edge("ab1", a, b1, {1}, {1})),
+             g.add_edge(make_edge("b12", b1, b2, {1}, {1})),
+             g.add_edge(make_edge("b23", b2, b3, {1}, {1})),
+             g.add_edge(make_edge("b3d", b3, d, {1}, {1})),
+             g.add_edge(make_edge("ad", a, d, {1}, {1}))};
+  }
+};
+
+TEST(BufferSizing, WarmStartSavesSimulationsAboveTheLowerBound) {
+  BufferSizingConfig cfg;
+  cfg.target_period_ps = 100;
+  ForkJoin cold_graph;
+  cfg.reference = cold_graph.d;
+  const auto cold = size_buffers(cold_graph.g, cold_graph.edges, cfg);
+  ASSERT_TRUE(cold.feasible) << cold.message;
+  EXPECT_GT(cold.capacities.back(), 1u) << "the direct edge needs slack";
+
+  ForkJoin warm_graph;
+  cfg.warm_start = cold.capacities;
+  const auto warm = size_buffers(warm_graph.g, warm_graph.edges, cfg);
+  ASSERT_TRUE(warm.feasible);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.capacities, cold.capacities);
+  EXPECT_EQ(warm.achieved_period_ps, cold.achieved_period_ps);
+  EXPECT_LT(warm.simulations, cold.simulations);
+  EXPECT_GT(warm.dominance_skips, cold.dominance_skips);
 }
 
 TEST(BufferSizing, RelaxedPeriodGivesMinimalBuffers) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arch/transform.hpp"
+#include "booking_probe.hpp"
 #include "core/resource_state.hpp"
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
@@ -418,6 +419,36 @@ TEST(ConcurrentManagerShapes, SharedLibraryStress) {
   const ShapeLibraryStats lib = shapes->stats();
   EXPECT_EQ(lib.lookups, lib.hits + lib.misses);
   EXPECT_GE(lib.hits, stats.shape_hits);
+}
+
+TEST(ConcurrentManagerShapes, BookedCommitLearnsThenRepeatHits) {
+  // A miss-path plan booked before its step 4 and committed through that
+  // booking must still enter the library, so the same skeleton hits next.
+  const auto platform = pe_mesh(4, 4);
+  auto shapes = std::make_shared<ShapeLibrary>(platform);
+  auto probe = std::make_shared<test::BookingProbe>();
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = probe, .shapes = shapes}, {.workers = 1});
+  const auto app = pe_chain(3, "booked");
+
+  const auto first = manager.admit(app);
+  ASSERT_EQ(first.status, runtime::AdmitStatus::Admitted)
+      << first.mapping.failure;
+  EXPECT_FALSE(first.shape_hit);
+  EXPECT_EQ(probe->books.load(), 1) << "the miss path did not book";
+
+  const auto second = manager.admit(pe_chain(3, "booked again"));
+  ASSERT_EQ(second.status, runtime::AdmitStatus::Admitted)
+      << second.mapping.failure;
+  EXPECT_TRUE(second.shape_hit);
+  EXPECT_EQ(probe->books.load(), 1) << "a shape hit never runs the mapper";
+  EXPECT_EQ(second.mapping.achieved_period_ps,
+            first.mapping.achieved_period_ps);
+
+  const runtime::AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.shape_inserts, 1u);
+  EXPECT_EQ(stats.shape_hits, 1u);
+  EXPECT_EQ(manager.shape_stats().inserts, 1u);
 }
 
 TEST(ExpansionCacheLru, TouchOnHitProtectsHotEntries) {

@@ -166,7 +166,13 @@ TEST(WarmStart, HintNeverChangesSizingResult) {
   EXPECT_EQ(warm.buffer_tokens, cold.buffer_tokens);
   EXPECT_EQ(warm.achieved_period_ps, cold.achieved_period_ps);
   EXPECT_EQ(warm.latency_ps, cold.latency_ps);
-  EXPECT_LT(warm.simulations, cold.simulations);
+  // This pipeline settles at the structural lower bound, which the cold
+  // search simulates first: one run. The exact hint is that lower bound,
+  // so the warm search's lower-bound probe reuses the hint's run. (Hints
+  // save simulations when the answer lies above the lower bound:
+  // BufferSizing.WarmStartSavesSimulationsAboveTheLowerBound.)
+  EXPECT_EQ(cold.simulations, 1u);
+  EXPECT_EQ(warm.simulations, 1u);
 
   // A perturbed hint (what a refinement round would carry over) still
   // converges to the identical minimal capacities.
@@ -435,6 +441,37 @@ TEST(RuntimeIntegration, CacheOccupancyReachesTheStatsReport) {
                       std::to_string(report.route_cache.entries) + ","),
             std::string::npos)
       << json;
+}
+
+TEST(RuntimeIntegration, DominanceSkipsReachTheStatsReport) {
+  const auto platform = test::small_platform();
+  const auto app = test::pipeline_app({.stages = 3, .tokens = 32});
+  ResourceState state(platform);
+  Mapping mapping(app.process_count(), app.channel_count());
+  place_and_route(app, platform, state, mapping);
+  verify::Engine engine;
+
+  const verify::SizingKey key = default_key(app);
+  const auto feasible = engine.verify(app, platform, mapping, key);
+  ASSERT_TRUE(feasible->feasible);
+  EXPECT_EQ(feasible->dominance_skips, 0u);
+
+  // A target no buffering reaches. The skeleton's stored capacities warm
+  // the search; their infeasible verdict implies the lower bound's, so
+  // only the hint and the upper-bound gate are simulated.
+  verify::SizingKey tight = key;
+  tight.target_period_ps = key.target_period_ps / 4;
+  const auto missed = engine.verify(app, platform, mapping, tight);
+  ASSERT_FALSE(missed->feasible);
+  EXPECT_TRUE(missed->warm_started);
+  EXPECT_EQ(missed->dominance_skips, 1u);
+  EXPECT_EQ(missed->simulations, 2u);
+
+  runtime::StatsReport report;
+  report.verification = engine.stats();
+  EXPECT_EQ(report.verification.dominance_skips, 1u);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find(",\"dominance_skips\":1,"), std::string::npos) << json;
 }
 
 }  // namespace
