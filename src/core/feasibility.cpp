@@ -1,7 +1,9 @@
 #include "core/feasibility.hpp"
 
-#include <utility>
+#include <optional>
+#include <string>
 
+#include "core/mapper.hpp"
 #include "util/error.hpp"
 #include "verify/engine.hpp"
 
@@ -47,49 +49,39 @@ FeasibilityReport run_step4(MappingContext& ctx,
     return report;
   }
 
-  // Record buffers and charge their memory to the consuming tiles. A later
-  // channel's misfit must roll the earlier reservations back: the caller
-  // retries on the same state, which a partial booking would corrupt.
+  // Record buffers and charge their memory to the consuming tiles. A
+  // misfit leaves nothing reserved: the caller retries on the same state,
+  // which a partial booking would corrupt.
   trace.buffer_tokens = outcome->buffer_tokens;
-  std::vector<std::pair<TileId, std::uint64_t>> reserved;
-  reserved.reserve(app.channel_count());
-  auto roll_back = [&] {
-    for (const auto& [tile, bytes] : reserved) {
-      state.release_tile(tile, 0.0, bytes, 0);
-    }
-  };
   for (const ChannelId cid : app.channel_ids()) {
-    const std::uint32_t tokens = outcome->buffer_tokens[cid.value()];
-    mapping.set_buffer_tokens(cid, tokens);
-
-    const kpn::Channel& c = app.channel(cid);
+    mapping.set_buffer_tokens(cid, outcome->buffer_tokens[cid.value()]);
+  }
+  if (const std::optional<ChannelId> misfit =
+          commit_buffers(state, app, mapping)) {
+    const kpn::Channel& c = app.channel(*misfit);
     const TileId consumer_tile = mapping.tile_of(c.dst);
     const std::uint64_t bytes =
-        static_cast<std::uint64_t>(tokens) * c.token_bytes;
-    if (!state.tile_fits(consumer_tile, 0.0, bytes, 0)) {
-      roll_back();
-      report.failure = "buffer of channel '" + c.name + "' (" +
-                       std::to_string(bytes) + " B) does not fit tile '" +
-                       platform.tile(consumer_tile).name + "'";
-      FeedbackConstraint fc;
-      fc.kind = FeedbackConstraint::Kind::ForbidTile;
-      fc.process = c.dst;
-      fc.tile = consumer_tile;
-      fc.reason = report.failure;
-      report.feedback = fc;
-      trace.feasible = false;
-      trace.message = report.failure;
-      return report;
-    }
-    state.reserve_tile(consumer_tile, 0.0, bytes, 0);
-    reserved.emplace_back(consumer_tile, bytes);
+        static_cast<std::uint64_t>(*mapping.buffer_tokens(*misfit)) *
+        c.token_bytes;
+    report.failure = "buffer of channel '" + c.name + "' (" +
+                     std::to_string(bytes) + " B) does not fit tile '" +
+                     platform.tile(consumer_tile).name + "'";
+    FeedbackConstraint fc;
+    fc.kind = FeedbackConstraint::Kind::ForbidTile;
+    fc.process = c.dst;
+    fc.tile = consumer_tile;
+    fc.reason = report.failure;
+    report.feedback = fc;
+    trace.feasible = false;
+    trace.message = report.failure;
+    return report;
   }
 
   // Latency bound, when the ALS specifies one.
   if (app.qos().max_latency_ns) {
     const std::uint64_t bound_ps = *app.qos().max_latency_ns * 1000ull;
     if (outcome->latency_ps > bound_ps) {
-      roll_back();
+      release_buffers(state, app, mapping);
       report.failure = "latency " +
                        std::to_string(outcome->latency_ps / 1000) +
                        "ns exceeds bound " +

@@ -1,5 +1,8 @@
 #include "core/mapper.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace rtsm::core {
@@ -20,15 +23,15 @@ void commit_mapping(ResourceState& state, const kpn::Application& app,
     state.reserve_tile(tile, util, app.implementation(pid, impl).memory_bytes);
   }
   for (const ChannelId cid : app.channel_ids()) {
-    const kpn::Channel& c = app.channel(cid);
     const auto& path = mapping.path(cid);
     require(path.has_value(), "commit of an unrouted mapping");
     state.links().reserve_path(*path, app.tokens_per_second(cid));
-    if (const auto tokens = mapping.buffer_tokens(cid)) {
-      state.reserve_tile(mapping.tile_of(c.dst), 0.0,
-                         static_cast<std::uint64_t>(*tokens) * c.token_bytes,
-                         0);
-    }
+  }
+  if (const std::optional<ChannelId> misfit =
+          commit_buffers(state, app, mapping)) {
+    const TileId tile = mapping.tile_of(app.channel(*misfit).dst);
+    throw Error("buffer over-reservation on '" + platform.tile(tile).name +
+                "'");
   }
 }
 
@@ -43,11 +46,42 @@ void release_mapping(ResourceState& state, const kpn::Application& app,
     state.release_tile(tile, util, app.implementation(pid, impl).memory_bytes);
   }
   for (const ChannelId cid : app.channel_ids()) {
-    const kpn::Channel& c = app.channel(cid);
     const auto& path = mapping.path(cid);
     if (!path) continue;
     state.links().release_path(*path, app.tokens_per_second(cid));
+  }
+  release_buffers(state, app, mapping);
+}
+
+std::optional<ChannelId> commit_buffers(ResourceState& state,
+                                        const kpn::Application& app,
+                                        const Mapping& mapping) {
+  std::vector<std::pair<TileId, std::uint64_t>> reserved;
+  reserved.reserve(app.channel_count());
+  for (const ChannelId cid : app.channel_ids()) {
+    const auto tokens = mapping.buffer_tokens(cid);
+    if (!tokens) continue;
+    const kpn::Channel& c = app.channel(cid);
+    const TileId tile = mapping.tile_of(c.dst);
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(*tokens) * c.token_bytes;
+    if (!state.tile_fits(tile, 0.0, bytes, 0)) {
+      for (const auto& [done, done_bytes] : reserved) {
+        state.release_tile(done, 0.0, done_bytes, 0);
+      }
+      return cid;
+    }
+    state.reserve_tile(tile, 0.0, bytes, 0);
+    reserved.emplace_back(tile, bytes);
+  }
+  return std::nullopt;
+}
+
+void release_buffers(ResourceState& state, const kpn::Application& app,
+                     const Mapping& mapping) {
+  for (const ChannelId cid : app.channel_ids()) {
     if (const auto tokens = mapping.buffer_tokens(cid)) {
+      const kpn::Channel& c = app.channel(cid);
       state.release_tile(mapping.tile_of(c.dst), 0.0,
                          static_cast<std::uint64_t>(*tokens) * c.token_bytes,
                          0);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "arch/platform.hpp"
@@ -60,16 +61,27 @@ struct MappingResult {
 /// snapshots see the placement while it is being verified.
 class PlanBooking {
  public:
+  /// What book() did with a placement.
+  enum class Result {
+    /// Booked in the live state.
+    Booked,
+    /// Does not fit the snapshot it was planned on: a mapper failure.
+    Misfit,
+    /// Fits its snapshot but not the live state: the snapshot went stale
+    /// during steps 1-3 (a booking conflict).
+    Conflict,
+  };
+
   virtual ~PlanBooking() = default;
 
   /// Books @p placed — process tiles, implementation memory and channel
   /// routes; no buffers — in the live state, replacing any earlier booking
   /// of this call. @p planned_on is the snapshot the placement was planned
-  /// against. False when the placement does not fit the live state: the
-  /// mapper's snapshot is stale, and the mapper must give up this call.
-  [[nodiscard]] virtual bool book(const kpn::Application& app,
-                                  const Mapping& placed,
-                                  const ResourceState& planned_on) = 0;
+  /// against. Unless the result is Booked, nothing is booked and the
+  /// mapper must give up this call.
+  [[nodiscard]] virtual Result book(const kpn::Application& app,
+                                    const Mapping& placed,
+                                    const ResourceState& planned_on) = 0;
 
   /// Drops the current booking, if any (its placement failed step 4).
   virtual void release() = 0;
@@ -116,10 +128,11 @@ class Mapper {
   /// map() that books its placement through @p booking once steps 1-3
   /// have settled and before step 4 runs. A successful result leaves its
   /// placement booked and returns that placement with its buffers, so the
-  /// caller commits only the buffers; a mapper that gives up releases its
-  /// booking (the caller releases whatever is left as well). The default books nothing and runs map(app, base):
-  /// the caller then validates the whole plan at the end, as for every
-  /// mapper that does not override this.
+  /// caller commits only the buffers (commit_buffers()); a mapper that
+  /// gives up releases its booking (the caller releases whatever is left
+  /// as well). The default books nothing and runs map(app, base): the
+  /// caller then validates the whole plan at the end, as for every mapper
+  /// that does not override this.
   [[nodiscard]] virtual MappingResult map_booked(const kpn::Application& app,
                                                  const ResourceState& base,
                                                  PlanBooking& booking) const {
@@ -157,6 +170,18 @@ void commit_mapping(ResourceState& state, const kpn::Application& app,
 
 /// Releases everything commit_mapping() booked.
 void release_mapping(ResourceState& state, const kpn::Application& app,
+                     const Mapping& mapping);
+
+/// The buffer part of commit_mapping(): charges each sized channel buffer
+/// (token_bytes x tokens) to the memory of its consumer's tile. Every
+/// buffer is checked against @p state first; on a misfit the earlier ones
+/// are rolled back, nothing stays reserved, and the misfitting channel is
+/// returned.
+[[nodiscard]] std::optional<ChannelId> commit_buffers(
+    ResourceState& state, const kpn::Application& app, const Mapping& mapping);
+
+/// Releases what commit_buffers() reserved.
+void release_buffers(ResourceState& state, const kpn::Application& app,
                      const Mapping& mapping);
 
 /// True when @p mapping's demands (compute, memory, process slots, link

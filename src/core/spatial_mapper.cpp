@@ -154,12 +154,17 @@ MappingResult SpatialMapper::run(const kpn::Application& app,
     }
     // Book the placement before its step-4 simulation: the snapshot may
     // have gone stale during steps 1-3, and a stale plan is cheapest to
-    // drop here. A booking conflict ends the call; the caller re-plans.
-    if (status == StageStatus::Proceed && booking != nullptr &&
-        !booking->book(app, mapping, base)) {
-      rt.outcome = "booking conflict: the placement no longer fits";
-      result.failure = rt.outcome;
-      return result;
+    // drop here. A refused booking ends the call; on a conflict the caller
+    // re-plans.
+    if (status == StageStatus::Proceed && booking != nullptr) {
+      const PlanBooking::Result booked = booking->book(app, mapping, base);
+      if (booked != PlanBooking::Result::Booked) {
+        rt.outcome = booked == PlanBooking::Result::Conflict
+                         ? "booking conflict: the placement no longer fits"
+                         : "mapping does not fit the residual resources";
+        result.failure = rt.outcome;
+        return result;
+      }
     }
     if (status == StageStatus::Proceed) {
       status = verify_constraints(ctx, config_, result, feedback);

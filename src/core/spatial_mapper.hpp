@@ -84,7 +84,7 @@ class SpatialMapper final : public Mapper {
                                   const CancelToken* cancel) const override;
 
   /// Books each round's placement after step 3 and releases it when that
-  /// round's step 4 fails. A booking conflict ends the call unsuccessful.
+  /// round's step 4 fails. A refused booking ends the call unsuccessful.
   /// Without step 4 (run_step4 = false) nothing is booked.
   [[nodiscard]] MappingResult map_booked(
       const kpn::Application& app, const ResourceState& base,

@@ -33,8 +33,8 @@ class ConcurrentRuntimeManager::Booking final : public core::PlanBooking {
   Booking& operator=(const Booking&) = delete;
   ~Booking() override { release(); }
 
-  bool book(const kpn::Application& booked_app, const core::Mapping& placed,
-            const core::ResourceState& planned_on) override {
+  Result book(const kpn::Application& booked_app, const core::Mapping& placed,
+              const core::ResourceState& planned_on) override {
     require(&booked_app == app.get(), "booking of a foreign application");
     return manager.book_placement(*this, placed, planned_on);
   }
@@ -50,6 +50,9 @@ class ConcurrentRuntimeManager::Booking final : public core::PlanBooking {
   bool held = false;
   /// The last book() found no room in the live state.
   bool conflicted = false;
+  /// Bookings released without a commit. Each release woke the parked
+  /// list once, which its own planner must not read as a foreign release.
+  std::uint64_t unbooks = 0;
   /// The held booking took the version gate instead of re-validating.
   bool gated = false;
 };
@@ -182,6 +185,7 @@ void ConcurrentRuntimeManager::pump() RTSM_NO_THREAD_SAFETY_ANALYSIS {
   while (true) {
     std::vector<Job> jobs = queue_.try_pop_batch(options_.max_batch);
     if (jobs.empty()) return;
+    retry_deferred_wake();
     process_jobs(std::move(jobs), scratch);
   }
 }
@@ -194,6 +198,7 @@ void ConcurrentRuntimeManager::worker_loop() {
   while (true) {
     std::vector<Job> jobs = queue_.pop_batch(options_.max_batch);
     if (jobs.empty()) return;  // closed and drained
+    retry_deferred_wake();
     process_jobs(std::move(jobs), scratch);
   }
 }
@@ -322,7 +327,7 @@ bool ConcurrentRuntimeManager::validate_and_commit(
   return true;
 }
 
-bool ConcurrentRuntimeManager::book_placement(
+core::PlanBooking::Result ConcurrentRuntimeManager::book_placement(
     Booking& booking, const core::Mapping& placed,
     const core::ResourceState& planned_on) {
   booking.release();
@@ -335,7 +340,7 @@ bool ConcurrentRuntimeManager::book_placement(
   const bool fits_snapshot = core::mapping_fits(planned_on, app, placed);
   validate_ns_.fetch_add(elapsed_ns(validate_start),
                          std::memory_order_relaxed);
-  if (!fits_snapshot) return false;
+  if (!fits_snapshot) return core::PlanBooking::Result::Misfit;
   // Not in bookings_ yet, so nothing else reads it.
   booking.placed = placed;
 
@@ -350,7 +355,7 @@ bool ConcurrentRuntimeManager::book_placement(
     validate_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
     if (!fits) {
       booking.conflicted = true;
-      return false;
+      return core::PlanBooking::Result::Conflict;
     }
   }
   const auto commit_start = std::chrono::steady_clock::now();
@@ -361,18 +366,24 @@ bool ConcurrentRuntimeManager::book_placement(
 #if RTSM_AUDIT
   audit_check("book");
 #endif
-  return true;
+  return core::PlanBooking::Result::Booked;
 }
 
 void ConcurrentRuntimeManager::release_booking(Booking& booking) {
-  const audit::LockGuard lock(state_mutex_);
-  release_booking_locked(booking);
+  {
+    const audit::LockGuard lock(state_mutex_);
+    release_booking_locked(booking);
+  }
+  // The released capacity may be what a parked request failed on: its
+  // snapshot showed this booking. Wake the parked list, as release() does.
+  requeue_waiting(/*after_defrag_migration=*/false, /*from_planner=*/true);
 }
 
 void ConcurrentRuntimeManager::release_booking_locked(Booking& booking) {
   core::release_mapping(state_, *booking.app, booking.placed);
   std::erase(bookings_, &booking);
   booking.held = false;
+  ++booking.unbooks;
 #if RTSM_AUDIT
   audit_check("unbook");
 #endif
@@ -381,55 +392,37 @@ void ConcurrentRuntimeManager::release_booking_locked(Booking& booking) {
 bool ConcurrentRuntimeManager::commit_booked(Request& request,
                                              core::MappingResult& result,
                                              Booking& booking) {
-  const kpn::Application& app = *request.app;
-  AppId id;
+  std::optional<AppId> id;
   {
     const audit::LockGuard lock(state_mutex_);
     const auto commit_start = std::chrono::steady_clock::now();
     // The placement has been live since the booking; only the buffers are
     // new. Step 4 fitted them against the snapshot, and a racing commit
     // may have filled a consumer's memory since, so each is checked
-    // against the live state (a misfit rolls the earlier ones back).
-    std::vector<std::pair<TileId, std::uint64_t>> buffers;
-    buffers.reserve(app.channel_count());
-    bool fits = true;
-    for (const ChannelId cid : app.channel_ids()) {
-      const auto tokens = result.mapping.buffer_tokens(cid);
-      if (!tokens) continue;
-      const kpn::Channel& c = app.channel(cid);
-      const TileId tile = result.mapping.tile_of(c.dst);
-      const std::uint64_t bytes =
-          static_cast<std::uint64_t>(*tokens) * c.token_bytes;
-      if (!state_.tile_fits(tile, 0.0, bytes, 0)) {
-        fits = false;
-        break;
-      }
-      state_.reserve_tile(tile, 0.0, bytes, 0);
-      buffers.emplace_back(tile, bytes);
-    }
-    if (!fits) {
-      for (const auto& [tile, bytes] : buffers) {
-        state_.release_tile(tile, 0.0, bytes, 0);
-      }
+    // against the live state.
+    if (core::commit_buffers(state_, *request.app, result.mapping)
+            .has_value()) {
       release_booking_locked(booking);
-      commit_ns_.fetch_add(elapsed_ns(commit_start),
-                           std::memory_order_relaxed);
-      return false;
+    } else {
+      (booking.gated ? gated_commits_ : validated_commits_)
+          .fetch_add(1, std::memory_order_relaxed);
+      std::erase(bookings_, &booking);
+      booking.held = false;
+      id = AppId{next_app_.fetch_add(1)};
+      running_.emplace(*id, RunningApp{request.app, result.mapping,
+                                       result.energy_nj_per_symbol,
+                                       request.cls, request.id});
+#if RTSM_AUDIT
+      audit_check("commit");
+#endif
     }
     commit_ns_.fetch_add(elapsed_ns(commit_start), std::memory_order_relaxed);
-    (booking.gated ? gated_commits_ : validated_commits_)
-        .fetch_add(1, std::memory_order_relaxed);
-    std::erase(bookings_, &booking);
-    booking.held = false;
-    id = AppId{next_app_.fetch_add(1)};
-    running_.emplace(id, RunningApp{request.app, result.mapping,
-                                    result.energy_nj_per_symbol, request.cls,
-                                    request.id});
-#if RTSM_AUDIT
-    audit_check("commit");
-#endif
   }
-  resolve_admitted(request, result, id, /*shape_hit=*/false);
+  if (!id) {
+    requeue_waiting(/*after_defrag_migration=*/false, /*from_planner=*/true);
+    return false;
+  }
+  resolve_admitted(request, result, *id, /*shape_hit=*/false);
   return true;
 }
 
@@ -663,7 +656,10 @@ void ConcurrentRuntimeManager::process_request(
     }
     if (policy_->on_failure(result, request.attempts) ==
         FailureAction::Retry) {
-      if (try_park(request, epoch_seen)) return;
+      // This attempt's own booking releases woke the parked list too; they
+      // say nothing about the state its verdict was made on.
+      const std::uint64_t own_wakes = booking ? booking->unbooks : 0;
+      if (try_park(request, epoch_seen + own_wakes)) return;
       continue;  // a release raced this attempt: retry on the fresh state
     }
     AdmitOutcome outcome;
@@ -720,7 +716,8 @@ bool ConcurrentRuntimeManager::try_park(Request& request,
   return true;
 }
 
-void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration) {
+void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration,
+                                               bool from_planner) {
   std::vector<Request> woken;
   {
     const audit::LockGuard lock(waiting_mutex_);
@@ -728,11 +725,22 @@ void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration) {
     woken.swap(waiting_);
   }
   if (woken.empty()) return;
+  std::vector<Request> deferred;
   for (Request& request : woken) {
     in_flight_.fetch_add(1);
     Job job;
     job.request = std::move(request);
-    if (!queue_.push(std::move(job))) {
+    const bool queued = from_planner ? queue_.try_push(std::move(job))
+                                     : queue_.push(std::move(job));
+    if (!queued && from_planner && !queue_.closed()) {
+      // A planner must not block on the queue it consumes. The queue is
+      // full, so a worker pops soon and wakes the rest (wake_deferred).
+      // The request in flight that called this keeps the count above 0.
+      in_flight_.fetch_sub(1);
+      deferred.push_back(std::move(job.request));
+      continue;
+    }
+    if (!queued) {
       // Shutting down: the queue refused (job untouched) — give up.
       // No retry is counted: no further mapping attempt will run.
       reject_shut_down(std::move(job.request));
@@ -741,6 +749,16 @@ void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration) {
     const audit::LockGuard lock(stats_mutex_);
     ++stats_.retries;
     if (after_defrag_migration) ++stats_.parked_woken_by_defrag;
+  }
+  if (deferred.empty()) return;
+  const audit::LockGuard lock(waiting_mutex_);
+  for (Request& request : deferred) waiting_.push_back(std::move(request));
+  wake_deferred_.store(true);
+}
+
+void ConcurrentRuntimeManager::retry_deferred_wake() {
+  if (wake_deferred_.load() && wake_deferred_.exchange(false)) {
+    requeue_waiting(/*after_defrag_migration=*/false, /*from_planner=*/true);
   }
 }
 

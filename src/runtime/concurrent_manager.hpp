@@ -322,15 +322,19 @@ class ConcurrentRuntimeManager {
   /// Final commit of a plan whose placement @p booking holds: adds only
   /// the buffers, each checked with tile_fits against the live state, and
   /// turns the booking into a running application. False on a buffer
-  /// misfit (a conflict); the booking is then released.
+  /// misfit (a conflict); the booking is then released and the parked
+  /// list woken.
   bool commit_booked(Request& request, core::MappingResult& result,
                      Booking& booking);
 
-  /// Booking internals: validate @p placed against the live state (or take
-  /// the version gate when @p planned_on is still synced with it) and book
-  /// it; false when it does not fit. Release undoes a held booking.
-  bool book_placement(Booking& booking, const core::Mapping& placed,
-                      const core::ResourceState& planned_on);
+  /// Booking internals: validate @p placed against @p planned_on, then
+  /// against the live state (or take the version gate when @p planned_on
+  /// is still synced with it) and book it. Release undoes a held booking
+  /// and wakes the parked list: the freed capacity may be what a parked
+  /// request failed on.
+  core::PlanBooking::Result book_placement(
+      Booking& booking, const core::Mapping& placed,
+      const core::ResourceState& planned_on);
   void release_booking(Booking& booking);
   void release_booking_locked(Booking& booking) RTSM_REQUIRES(state_mutex_);
 
@@ -395,10 +399,17 @@ class ConcurrentRuntimeManager {
   /// whether the request was parked.
   [[nodiscard]] bool try_park(Request& request, std::uint64_t epoch_seen);
 
-  /// Moves parked requests back into the queue after a release.
-  /// @p after_defrag_migration marks the wake as following a defrag pass
-  /// that moved something (counted in parked_woken_by_defrag).
-  void requeue_waiting(bool after_defrag_migration = false);
+  /// Moves parked requests back into the queue after a release, or after a
+  /// booking was released without a commit. @p after_defrag_migration
+  /// marks the wake as following a defrag pass that moved something
+  /// (counted in parked_woken_by_defrag). A planning thread
+  /// (@p from_planner) never blocks on the full queue it consumes: the
+  /// requests that do not fit stay parked and wake_deferred_ is set.
+  void requeue_waiting(bool after_defrag_migration = false,
+                       bool from_planner = false);
+  /// Runs a wake that requeue_waiting() deferred on a full queue; called by
+  /// each consumer right after it popped a batch, when the queue has room.
+  void retry_deferred_wake();
   /// Decrements the in-flight count and wakes wait_idle().
   void finish_one();
 
@@ -471,6 +482,9 @@ class ConcurrentRuntimeManager {
   /// worker re-checks it under the same lock before parking so a release
   /// cannot slip between a failed attempt and the park (see try_park).
   std::atomic<std::uint64_t> release_epoch_{0};
+  /// A planner's wake found the queue full and left requests parked; the
+  /// next consumer to pop a batch wakes them (retry_deferred_wake).
+  std::atomic<bool> wake_deferred_{false};
 
   BoundedQueue<Job> queue_;
   std::vector<std::thread> workers_;

@@ -52,17 +52,18 @@ class BookingProbe final : public core::Mapper {
     Relay(const BookingProbe& probe, core::PlanBooking& target)
         : probe_(probe), target_(target) {}
 
-    bool book(const kpn::Application& app, const core::Mapping& placed,
-              const core::ResourceState& planned_on) override {
+    Result book(const kpn::Application& app, const core::Mapping& placed,
+                const core::ResourceState& planned_on) override {
       const int arrival = ++probe_.arrivals_;
       if (probe_.before_book) probe_.before_book(arrival);
-      if (!target_.book(app, placed, planned_on)) {
+      const Result result = target_.book(app, placed, planned_on);
+      if (result != Result::Booked) {
         ++probe_.refusals;
-        return false;
+        return result;
       }
       ++probe_.books;
       if (probe_.after_book) probe_.after_book(arrival);
-      return true;
+      return result;
     }
 
     void release() override {

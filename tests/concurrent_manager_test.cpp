@@ -869,5 +869,122 @@ TEST(ConcurrentBooking, BufferMisfitAtFinalCommitIsAConflict) {
   expect_books_balance_and_release_all(platform, manager);
 }
 
+/// Polls until @p manager holds @p parked parked requests; false after 10 s.
+bool wait_for_parked(const ConcurrentRuntimeManager& manager,
+                     std::size_t parked) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (manager.waiting_count() != parked) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ConcurrentBooking, ReleasedBookingWakesAParkedRequest) {
+  // Y books both single-slot IO tiles, then waits before its step 4, which
+  // fails. X, planned on a snapshot that shows Y's booking, finds no
+  // fixture slot and parks. Nothing else ever releases: Y's released
+  // booking must wake X.
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> y_booked;
+  std::promise<void> x_parked;
+  std::shared_future<void> parked = x_parked.get_future().share();
+  probe->after_book = [&](int arrival) {
+    if (arrival != 1) return;
+    y_booked.set_value();
+    EXPECT_EQ(parked.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  };
+  ConcurrentRuntimeManager manager(
+      platform,
+      {.mapper = probe, .policy = std::make_shared<RetryAdmission>(4)},
+      {.workers = 2, .queue_capacity = 8, .max_batch = 1});
+
+  auto y = manager.submit(
+      std::make_shared<kpn::Application>(period_bound_app(1200)));
+  y_booked.get_future().wait();
+  auto x = manager.submit(
+      std::make_shared<kpn::Application>(period_bound_app(4000)));
+  ASSERT_TRUE(wait_for_parked(manager, 1)) << "X did not park";
+  x_parked.set_value();
+
+  ASSERT_EQ(x.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "the released booking did not wake the parked request";
+  const AdmitOutcome ox = x.get();
+  EXPECT_EQ(ox.status, AdmitStatus::Admitted) << ox.mapping.failure;
+  EXPECT_EQ(ox.attempts, 2u);
+  // Y's own wake says nothing about Y's verdict: Y parks after one attempt
+  // instead of re-planning on it.
+  ASSERT_TRUE(wait_for_parked(manager, 1)) << "Y did not park";
+  EXPECT_EQ(probe->releases.load(), 1);
+  EXPECT_EQ(manager.stats().retries, 1u);
+  const std::vector<AdmitOutcome> given_up = manager.reject_waiting();
+  ASSERT_EQ(given_up.size(), 1u);
+  const AdmitOutcome oy = y.get();
+  EXPECT_EQ(oy.status, AdmitStatus::Rejected);
+  EXPECT_EQ(oy.attempts, 1u);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+TEST(ConcurrentBooking, WakeOnAFullQueueIsDeferredToTheNextPop) {
+  // As above, but when Y's booking is released the other worker holds Z's
+  // plan in flight and W fills the one-slot queue. Y's worker must not
+  // block on the queue it consumes: X stays parked until that worker pops
+  // W, then wakes and is admitted beside Z's booking.
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> y_booked;
+  std::promise<void> z_booked;
+  std::promise<void> y_go;
+  std::promise<void> z_go;
+  std::shared_future<void> y_resume = y_go.get_future().share();
+  std::shared_future<void> z_resume = z_go.get_future().share();
+  probe->after_book = [&](int arrival) {
+    // Bounded waits: a failed assertion below must not strand a worker.
+    if (arrival == 1) {
+      y_booked.set_value();
+      y_resume.wait_for(std::chrono::seconds(10));
+    } else if (arrival == 2) {
+      z_booked.set_value();
+      z_resume.wait_for(std::chrono::seconds(10));
+    }
+  };
+  ConcurrentRuntimeManager manager(
+      platform,
+      {.mapper = probe, .policy = std::make_shared<RetryAdmission>(8)},
+      {.workers = 2, .queue_capacity = 1, .max_batch = 1});
+
+  auto y = manager.submit(
+      std::make_shared<kpn::Application>(period_bound_app(1200)));
+  y_booked.get_future().wait();
+  auto x = manager.submit(
+      std::make_shared<kpn::Application>(period_bound_app(4000)));
+  ASSERT_TRUE(wait_for_parked(manager, 1)) << "X did not park";
+  auto z = manager.submit(std::make_shared<kpn::Application>(compute_app(2)));
+  z_booked.get_future().wait();
+  // No implementation reaches a 100 ns period: W fails step 1 without a
+  // booking, and waits in the queue until Y's worker is free.
+  auto w = manager.submit(
+      std::make_shared<kpn::Application>(period_bound_app(100)));
+  y_go.set_value();
+
+  ASSERT_EQ(x.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "the deferred wake never ran";
+  const AdmitOutcome ox = x.get();
+  EXPECT_EQ(ox.status, AdmitStatus::Admitted) << ox.mapping.failure;
+  z_go.set_value();
+  const AdmitOutcome oz = z.get();
+  EXPECT_EQ(oz.status, AdmitStatus::Admitted) << oz.mapping.failure;
+
+  manager.wait_idle();
+  EXPECT_EQ(manager.reject_waiting().size(), 2u) << "Y and W stay parked";
+  EXPECT_EQ(y.get().status, AdmitStatus::Rejected);
+  EXPECT_EQ(w.get().status, AdmitStatus::Rejected);
+  EXPECT_EQ(manager.running_count(), 2u);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
 }  // namespace
 }  // namespace rtsm::runtime
