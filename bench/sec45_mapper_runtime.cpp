@@ -147,6 +147,10 @@ int main(int argc, char** argv) {
   key.simulation = c.config.step4.simulation;
   const auto cold_outcome =
       verify::compute_verification(c.app, c.platform, placed, key);
+  // Every warm hit still builds and compares this signature.
+  const std::size_t signature_words =
+      verify::MappingSignature::of(c.app, c.platform, placed, key)
+          .word_count();
 
   verify::Engine engine;
   (void)step4.run(&engine);  // populate the cache (the first admission)
@@ -177,7 +181,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cold_outcome.events_skipped));
   std::printf("Step 4, cold: %.1f ns per executed event\n",
               cold_ns_per_executed_event);
-  std::printf("Step 4, warm (cached):   median %7.0f us\n", warm_median);
+  std::printf("Step 4, warm (cached):   median %7.0f us  (signature of %zu "
+              "words)\n",
+              warm_median, signature_words);
   std::printf(
       "Warm/cold speedup %.1fx; cache hit rate %.2f, events saved %llu\n\n",
       speedup, es.hit_rate(),
@@ -270,13 +276,15 @@ int main(int argc, char** argv) {
                "%.1f, \"speedup\": %.2f, \"cold_simulations\": %llu, "
                "\"cold_events\": %llu, \"cold_events_skipped\": %llu, "
                "\"cold_ns_per_executed_event\": %.2f, "
-               "\"cache_hit_rate\": %.4f, \"events_saved\": %llu},\n",
+               "\"cache_hit_rate\": %.4f, \"events_saved\": %llu, "
+               "\"warm_signature_words\": %zu},\n",
                cold_median, warm_median, speedup,
                static_cast<unsigned long long>(cold_outcome.simulations),
                static_cast<unsigned long long>(cold_outcome.events_simulated),
                static_cast<unsigned long long>(cold_outcome.events_skipped),
                cold_ns_per_executed_event, es.hit_rate(),
-               static_cast<unsigned long long>(es.events_saved));
+               static_cast<unsigned long long>(es.events_saved),
+               signature_words);
   std::fprintf(f,
                "  \"adaptive_window\": {\"fixed_events\": %llu, "
                "\"adaptive_events\": %llu, \"events_saved_pct\": %.1f, "

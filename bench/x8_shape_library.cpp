@@ -27,6 +27,7 @@
 //        --json PATH (default BENCH_x8.json).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -38,6 +39,7 @@
 #include "runtime/runtime_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "shapes/library.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "workload/hiperlan2.hpp"
@@ -250,6 +252,31 @@ ShapeFigures run_churn(
   return figures;
 }
 
+/// Cost of the key every library lookup builds first: the median over the
+/// pool of the mean SkeletonKey::of time per skeleton, and the median
+/// word count.
+struct KeyFigures {
+  double median_us = 0.0;
+  double median_words = 0.0;
+};
+
+KeyFigures time_skeleton_keys(
+    const std::vector<std::shared_ptr<const kpn::Application>>& pool,
+    std::uint32_t reps) {
+  std::vector<double> per_app_us;
+  std::vector<double> words;
+  for (const auto& app : pool) {
+    std::size_t total_words = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint32_t r = 0; r < reps; ++r) {
+      total_words += shapes::SkeletonKey::of(*app).words.size();
+    }
+    per_app_us.push_back(elapsed_us(start) / reps);
+    words.push_back(static_cast<double>(total_words / reps));
+  }
+  return {median(per_app_us), median(words)};
+}
+
 void print_row(io::TablePrinter& table, const ShapeFigures& f) {
   table.add_row({f.label, std::to_string(f.offered),
                  std::to_string(f.admitted),
@@ -263,7 +290,7 @@ void print_row(io::TablePrinter& table, const ShapeFigures& f) {
 
 void write_json(const std::string& path, std::uint32_t waves,
                 std::uint32_t warmup_waves, const ShapeFigures& off,
-                const ShapeFigures& on) {
+                const ShapeFigures& on, const KeyFigures& keys) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -301,8 +328,10 @@ void write_json(const std::string& path, std::uint32_t waves,
   std::fprintf(f,
                ",\n  \"warm_admit_speedup\": %.2f,\n"
                "  \"hit_rate_warm\": %.4f,\n"
+               "  \"skeleton_key_us_median\": %.3f,\n"
+               "  \"skeleton_key_words_median\": %.0f,\n"
                "  \"oracle\": \"%s\"\n}\n",
-               speedup, on.hit_rate_warm,
+               speedup, on.hit_rate_warm, keys.median_us, keys.median_words,
                off.oracle_ok && on.oracle_ok ? "identical" : "MISMATCH");
   std::fclose(f);
   std::printf("Wrote %s\n", path.c_str());
@@ -352,7 +381,12 @@ int main(int argc, char** argv) {
       f_off.median_warm_us, f_on.median_warm_us, speedup,
       100.0 * f_on.hit_rate_warm);
 
-  write_json(json_path, waves, warmup_waves, f_off, f_on);
+  const KeyFigures keys = time_skeleton_keys(pool, short_mode ? 200 : 2000);
+  std::printf("SkeletonKey::of over the pool: median %.2f us, median %.0f "
+              "words\n\n",
+              keys.median_us, keys.median_words);
+
+  write_json(json_path, waves, warmup_waves, f_off, f_on, keys);
 
   std::printf(
       "\nReading: once the library has learned the pool's skeletons, a\n"

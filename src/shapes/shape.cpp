@@ -1,54 +1,21 @@
 #include "shapes/shape.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/resource_state.hpp"
 #include "util/error.hpp"
+#include "util/words.hpp"
 
 namespace rtsm::shapes {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a_byte(std::uint64_t h, std::uint8_t byte) {
-  return (h ^ byte) * kFnvPrime;
+/// A fixture pin: a presence flag, then the exact tile name.
+template <class Sink>
+void put_pin(Sink& w, const std::optional<std::string>& pinned_tile) {
+  w.put(pinned_tile.has_value() ? 1 : 0);
+  if (pinned_tile.has_value()) w.put_string(*pinned_tile);
 }
-
-std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h = fnv1a_byte(h, static_cast<std::uint8_t>(word >> (8 * i)));
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_string(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) h = fnv1a_byte(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
-std::uint64_t hash_words(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t w : words) h = fnv1a_word(h, w);
-  return h;
-}
-
-/// 64-bit word serializer; length prefixes keep variable-length runs from
-/// aliasing each other (same convention as verify::MappingSignature).
-struct Words {
-  std::vector<std::uint64_t> out;
-
-  void put(std::uint64_t w) { out.push_back(w); }
-  void put_double(double d) { out.push_back(std::bit_cast<std::uint64_t>(d)); }
-  void put_string(std::string_view s) { out.push_back(fnv1a_string(s)); }
-  void put_rates(const kpn::PhaseRates& rates) {
-    put(rates.size());
-    for (const std::uint32_t r : rates) put(r);
-  }
-};
 
 std::uint64_t rr_key(RouterId from, RouterId to) {
   return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
@@ -57,55 +24,52 @@ std::uint64_t rr_key(RouterId from, RouterId to) {
 }  // namespace
 
 SkeletonKey SkeletonKey::of(const kpn::Application& app) {
-  Words w;
+  SkeletonKey key;
+  key.words = serialize_words([&app](auto& w) {
+    // QoS.
+    const kpn::QosConstraints& qos = app.qos();
+    w.put(qos.symbol_period_ns);
+    w.put(qos.max_latency_ns.has_value() ? 1 : 0);
+    w.put(qos.max_latency_ns.value_or(0));
+    w.put(qos.frame_symbols);
 
-  // QoS.
-  const kpn::QosConstraints& qos = app.qos();
-  w.put(qos.symbol_period_ns);
-  w.put(qos.max_latency_ns.has_value() ? 1 : 0);
-  w.put(qos.max_latency_ns.value_or(0));
-  w.put(qos.frame_symbols);
-
-  // Per process: fixture pin and the full implementation option content.
-  // Process and implementation *names* are excluded so structurally equal
-  // graphs share a key; pinned tile names are platform identities and must
-  // stay.
-  w.put(app.process_count());
-  for (const ProcessId pid : app.process_ids()) {
-    const kpn::Process& p = app.process(pid);
-    w.put(p.pinned_tile.has_value() ? fnv1a_string(*p.pinned_tile) : 0);
-    w.put(p.implementations.size());
-    for (const kpn::Implementation& im : p.implementations) {
-      w.put_string(im.tile_type);
-      w.put(im.wcet_cc.size());
-      for (const std::uint32_t cc : im.wcet_cc) w.put(cc);
-      w.put_double(im.energy_nj_per_symbol);
-      w.put(im.memory_bytes);
-      w.put(im.inputs.size());
-      for (const kpn::PortSpec& port : im.inputs) {
-        w.put(port.channel.value());
-        w.put_rates(port.rates);
-      }
-      w.put(im.outputs.size());
-      for (const kpn::PortSpec& port : im.outputs) {
-        w.put(port.channel.value());
-        w.put_rates(port.rates);
+    // Per process: fixture pin and the full implementation option content.
+    // Process and implementation *names* are excluded so structurally
+    // equal graphs share a key; pinned tile names are platform identities
+    // and must stay.
+    w.put(app.process_count());
+    for (const ProcessId pid : app.process_ids()) {
+      const kpn::Process& p = app.process(pid);
+      put_pin(w, p.pinned_tile);
+      w.put(p.implementations.size());
+      for (const kpn::Implementation& im : p.implementations) {
+        w.put_string(im.tile_type);
+        w.put_run(im.wcet_cc);
+        w.put_double(im.energy_nj_per_symbol);
+        w.put(im.memory_bytes);
+        w.put(im.inputs.size());
+        for (const kpn::PortSpec& port : im.inputs) {
+          w.put(port.channel.value());
+          w.put_run(port.rates);
+        }
+        w.put(im.outputs.size());
+        for (const kpn::PortSpec& port : im.outputs) {
+          w.put(port.channel.value());
+          w.put_run(port.rates);
+        }
       }
     }
-  }
 
-  // Per channel: endpoints and token geometry.
-  w.put(app.channel_count());
-  for (const ChannelId cid : app.channel_ids()) {
-    const kpn::Channel& c = app.channel(cid);
-    w.put(c.src.value());
-    w.put(c.dst.value());
-    w.put(c.tokens_per_symbol);
-    w.put(c.token_bytes);
-  }
-
-  SkeletonKey key;
-  key.words = std::move(w.out);
+    // Per channel: endpoints and token geometry.
+    w.put(app.channel_count());
+    for (const ChannelId cid : app.channel_ids()) {
+      const kpn::Channel& c = app.channel(cid);
+      w.put(c.src.value());
+      w.put(c.dst.value());
+      w.put(c.tokens_per_symbol);
+      w.put(c.token_bytes);
+    }
+  });
   key.hash = hash_words(key.words);
   return key;
 }
@@ -162,30 +126,30 @@ std::vector<std::uint64_t> shape_words(
     const std::vector<arch::Coord>& ppos,
     const std::vector<ShapeChannel>& channels,
     const std::vector<std::vector<arch::Coord>>& routes) {
-  Words w;
-  w.put(extent.x);
-  w.put(extent.y);
-  w.put(processes.size());
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    const ShapeProcess& p = processes[i];
-    w.put(ppos[i].x);
-    w.put(ppos[i].y);
-    w.put(p.impl.value());
-    w.put(p.type.value());
-    w.put(p.pinned_tile.has_value() ? fnv1a_string(*p.pinned_tile) : 0);
-  }
-  w.put(channels.size());
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    const ShapeChannel& c = channels[i];
-    w.put(routes[i].size());
-    for (const arch::Coord r : routes[i]) {
-      w.put(r.x);
-      w.put(r.y);
+  return serialize_words([&](auto& w) {
+    w.put(extent.x);
+    w.put(extent.y);
+    w.put(processes.size());
+    for (std::size_t i = 0; i < processes.size(); ++i) {
+      const ShapeProcess& p = processes[i];
+      w.put(ppos[i].x);
+      w.put(ppos[i].y);
+      w.put(p.impl.value());
+      w.put(p.type.value());
+      put_pin(w, p.pinned_tile);
     }
-    w.put(c.has_buffer ? 1 : 0);
-    w.put(c.buffer_tokens);
-  }
-  return w.out;
+    w.put(channels.size());
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      const ShapeChannel& c = channels[i];
+      w.put(routes[i].size());
+      for (const arch::Coord r : routes[i]) {
+        w.put(r.x);
+        w.put(r.y);
+      }
+      w.put(c.has_buffer ? 1 : 0);
+      w.put(c.buffer_tokens);
+    }
+  });
 }
 
 }  // namespace

@@ -15,14 +15,16 @@
 namespace rtsm::shapes {
 
 /// Position-independent identity of an application *skeleton*: graph
-/// structure, implementation options and QoS, hashed over content only —
-/// names of the application and its processes are deliberately excluded,
-/// so structurally identical graphs (e.g. repeated instances of one
-/// workload template, or the same HIPERLAN/2 mode admitted twice under
-/// different instance names) share one shape-library bucket. Keeps the
-/// full serialized word vector next to the hash so lookups compare
-/// exactly (unlike a bare 64-bit hash, a key can never alias a different
-/// skeleton).
+/// structure, implementation options and QoS, serialized over content
+/// only — names of the application, its processes and implementations are
+/// deliberately excluded, so structurally identical graphs (e.g. repeated
+/// instances of one workload template, or the same HIPERLAN/2 mode
+/// admitted twice under different instance names) share one shape-library
+/// bucket. Built with the shared word serializer (util/words.hpp): the
+/// names that do enter (tile types, fixture pins) are stored as their
+/// exact bytes, and the full word vector is kept next to the hash, so
+/// lookups compare exactly and a key can never alias a different
+/// skeleton. The word-at-a-time hash only picks the bucket.
 struct SkeletonKey {
   std::vector<std::uint64_t> words;
   std::uint64_t hash = 0;
@@ -85,8 +87,9 @@ struct CanonicalShape {
   std::vector<std::uint32_t> probe_order;
   bool has_pinned = false;
 
-  /// Canonical serialization and its hash; two placements are the same
-  /// shape iff their words match.
+  /// Canonical serialization (shared word serializer, exact pin names)
+  /// and its bucket hash; two placements are the same shape iff their
+  /// words match.
   std::vector<std::uint64_t> words;
   std::uint64_t hash = 0;
 

@@ -106,7 +106,7 @@ Engine::Engine(EngineOptions options)
 std::shared_ptr<const VerificationOutcome> Engine::verify(
     const kpn::Application& app, const arch::Platform& platform,
     const core::Mapping& mapping, const SizingKey& key) {
-  const MappingSignature signature =
+  MappingSignature signature =
       MappingSignature::of(app, platform, mapping, key);
 
   if (options_.cache) {
@@ -161,7 +161,7 @@ std::shared_ptr<const VerificationOutcome> Engine::verify(
       }
     }
   }
-  if (options_.cache) cache_.insert(signature, outcome);
+  if (options_.cache) cache_.insert(std::move(signature), outcome);
   return outcome;
 }
 

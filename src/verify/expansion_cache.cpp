@@ -1,5 +1,7 @@
 #include "verify/expansion_cache.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace rtsm::verify {
@@ -22,16 +24,16 @@ std::shared_ptr<const VerificationOutcome> ExpansionCache::find(
 }
 
 void ExpansionCache::insert(
-    const MappingSignature& signature,
+    MappingSignature signature,
     std::shared_ptr<const VerificationOutcome> outcome) {
   const audit::LockGuard lock(mutex_);
-  const auto [it, inserted] = map_.try_emplace(signature);
+  const auto [it, inserted] = map_.try_emplace(std::move(signature));
   if (!inserted) return;  // a racing computation of the same key won
-  lru_.push_front(signature);
+  lru_.push_front(&it->first);
   it->second.outcome = std::move(outcome);
   it->second.where = lru_.begin();
   while (map_.size() > max_entries_) {
-    const auto victim = map_.find(lru_.back());
+    const auto victim = map_.find(*lru_.back());
     if (victim->second.hits > 0) ++evicted_while_hot_;
     map_.erase(victim);
     lru_.pop_back();

@@ -79,8 +79,8 @@ class ExpansionCache {
 
   /// Inserts (first writer wins on a race; later identical computations
   /// are simply dropped). Evicts the least-recently-used entry beyond
-  /// max_entries.
-  void insert(const MappingSignature& signature,
+  /// max_entries. The signature is moved into the map and stored once.
+  void insert(MappingSignature signature,
               std::shared_ptr<const VerificationOutcome> outcome);
 
   void clear();
@@ -98,7 +98,7 @@ class ExpansionCache {
   struct Entry {
     std::shared_ptr<const VerificationOutcome> outcome;
     /// Position in lru_ (front = most recent). Stable under splice.
-    std::list<MappingSignature>::iterator where;
+    std::list<const MappingSignature*>::iterator where;
     std::uint64_t hits = 0;
   };
 
@@ -111,7 +111,9 @@ class ExpansionCache {
   mutable std::unordered_map<MappingSignature, Entry, SignatureHash> map_
       RTSM_GUARDED_BY(mutex_);
   /// Recency order, most recent first; find() splices hits to the front.
-  mutable std::list<MappingSignature> lru_ RTSM_GUARDED_BY(mutex_);
+  /// Points at the map's node keys, which stay put across rehashes, so
+  /// each signature is held once.
+  mutable std::list<const MappingSignature*> lru_ RTSM_GUARDED_BY(mutex_);
   std::uint64_t evictions_ RTSM_GUARDED_BY(mutex_) = 0;
   std::uint64_t evicted_while_hot_ RTSM_GUARDED_BY(mutex_) = 0;
 };

@@ -1,61 +1,23 @@
 #include "verify/signature.hpp"
 
-#include <bit>
-
 #include "util/error.hpp"
+#include "util/words.hpp"
 
 namespace rtsm::verify {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a_step(std::uint64_t h, std::uint8_t byte) {
-  return (h ^ byte) * kFnvPrime;
-}
-
-std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h = fnv1a_step(h, static_cast<std::uint8_t>(word >> (8 * i)));
-  }
-  return h;
-}
-
-/// Serializer appending 64-bit words; section tags keep variable-length
-/// runs (phase vectors, routes) from aliasing each other.
-struct Words {
-  std::vector<std::uint64_t> out;
-
-  void put(std::uint64_t w) { out.push_back(w); }
-  void put_double(double d) { out.push_back(std::bit_cast<std::uint64_t>(d)); }
-  void put_string(std::string_view s) { out.push_back(fnv1a(s)); }
-  void put_rates(const kpn::PhaseRates& rates) {
-    put(rates.size());
-    for (const std::uint32_t r : rates) put(r);
-  }
-};
-
-}  // namespace
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : s) h = fnv1a_step(h, static_cast<std::uint8_t>(c));
-  return h;
-}
-
 std::uint64_t app_skeleton_hash(const kpn::Application& app) {
-  std::uint64_t h = fnv1a(app.name());
-  h = fnv1a_word(h, app.process_count());
-  h = fnv1a_word(h, app.channel_count());
-  h = fnv1a_word(h, app.qos().symbol_period_ns);
-  for (const ChannelId cid : app.channel_ids()) {
-    const kpn::Channel& c = app.channel(cid);
-    h = fnv1a_word(h, c.src.value());
-    h = fnv1a_word(h, c.dst.value());
-    h = fnv1a_word(h, c.tokens_per_symbol);
-  }
-  return h;
+  return hash_words(serialize_words([&app](auto& w) {
+    w.put_string(app.name());
+    w.put(app.process_count());
+    w.put(app.channel_count());
+    w.put(app.qos().symbol_period_ns);
+    for (const ChannelId cid : app.channel_ids()) {
+      const kpn::Channel& c = app.channel(cid);
+      w.put(c.src.value());
+      w.put(c.dst.value());
+      w.put(c.tokens_per_symbol);
+    }
+  }));
 }
 
 MappingSignature MappingSignature::of(const kpn::Application& app,
@@ -65,66 +27,62 @@ MappingSignature MappingSignature::of(const kpn::Application& app,
   require(mapping.all_assigned() && mapping.all_routed(),
           "signature requires a placed and routed mapping");
 
-  Words w;
-
-  // Sizing parameters.
-  w.put(key.target_period_ps);
-  w.put(key.capacity_limit);
-  w.put(key.simulation.warmup_iterations);
-  w.put(key.simulation.measured_iterations);
-  w.put(key.simulation.max_events);
-  w.put(key.simulation.convergence_window);
-  w.put_double(key.simulation.convergence_epsilon);
-
-  // Platform NoC parameters consumed by the expansion.
-  w.put(platform.noc().router_latency_ps());
-  w.put(platform.noc().hop_buffer_tokens);
-
-  // Per process: selected implementation content + tile clock. The tile
-  // identity itself is deliberately absent — only its clock matters to the
-  // expansion, so equal-clock moves that keep all routes hit the cache.
-  w.put(app.process_count());
-  for (const ProcessId pid : app.process_ids()) {
-    const ImplementationId impl = mapping.impl_of(pid);
-    const kpn::Implementation& im = app.implementation(pid, impl);
-    w.put_string(app.process(pid).name);
-    w.put_string(im.name);
-    w.put(impl.value());
-    w.put(platform.tile_clock_hz(mapping.tile_of(pid)));
-    w.put(im.wcet_cc.size());
-    for (const std::uint32_t cc : im.wcet_cc) w.put(cc);
-    w.put(im.inputs.size());
-    for (const kpn::PortSpec& port : im.inputs) {
-      w.put(port.channel.value());
-      w.put_rates(port.rates);
-    }
-    w.put(im.outputs.size());
-    for (const kpn::PortSpec& port : im.outputs) {
-      w.put(port.channel.value());
-      w.put_rates(port.rates);
-    }
-  }
-
-  // Per channel: endpoints, token geometry and the exact route (link ids
-  // encode the traversed routers in order).
-  w.put(app.channel_count());
-  for (const ChannelId cid : app.channel_ids()) {
-    const kpn::Channel& c = app.channel(cid);
-    const noc::Path& path = *mapping.path(cid);
-    w.put_string(c.name);
-    w.put(c.src.value());
-    w.put(c.dst.value());
-    w.put(c.tokens_per_symbol);
-    w.put(c.token_bytes);
-    w.put(path.links.size());
-    for (const LinkId link : path.links) w.put(link.value());
-  }
-
   MappingSignature sig;
-  sig.words_ = std::move(w.out);
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint64_t word : sig.words_) h = fnv1a_word(h, word);
-  sig.hash_ = static_cast<std::size_t>(h);
+  sig.words_ = serialize_words([&](auto& w) {
+    // Sizing parameters.
+    w.put(key.target_period_ps);
+    w.put(key.capacity_limit);
+    w.put(key.simulation.warmup_iterations);
+    w.put(key.simulation.measured_iterations);
+    w.put(key.simulation.max_events);
+    w.put(key.simulation.convergence_window);
+    w.put_double(key.simulation.convergence_epsilon);
+
+    // Platform NoC parameters consumed by the expansion.
+    w.put(platform.noc().router_latency_ps());
+    w.put(platform.noc().hop_buffer_tokens);
+
+    // Per process: selected implementation content + tile clock. The tile
+    // identity itself is deliberately absent — only its clock matters to
+    // the expansion, so equal-clock moves that keep all routes hit the
+    // cache.
+    w.put(app.process_count());
+    for (const ProcessId pid : app.process_ids()) {
+      const ImplementationId impl = mapping.impl_of(pid);
+      const kpn::Implementation& im = app.implementation(pid, impl);
+      w.put_string(app.process(pid).name);
+      w.put_string(im.name);
+      w.put(impl.value());
+      w.put(platform.tile_clock_hz(mapping.tile_of(pid)));
+      w.put_run(im.wcet_cc);
+      w.put(im.inputs.size());
+      for (const kpn::PortSpec& port : im.inputs) {
+        w.put(port.channel.value());
+        w.put_run(port.rates);
+      }
+      w.put(im.outputs.size());
+      for (const kpn::PortSpec& port : im.outputs) {
+        w.put(port.channel.value());
+        w.put_run(port.rates);
+      }
+    }
+
+    // Per channel: endpoints, token geometry and the exact route (link ids
+    // encode the traversed routers in order).
+    w.put(app.channel_count());
+    for (const ChannelId cid : app.channel_ids()) {
+      const kpn::Channel& c = app.channel(cid);
+      const noc::Path& path = *mapping.path(cid);
+      w.put_string(c.name);
+      w.put(c.src.value());
+      w.put(c.dst.value());
+      w.put(c.tokens_per_symbol);
+      w.put(c.token_bytes);
+      w.put(path.links.size());
+      for (const LinkId link : path.links) w.put(link.value());
+    }
+  });
+  sig.hash_ = static_cast<std::size_t>(hash_words(sig.words_));
   return sig;
 }
 

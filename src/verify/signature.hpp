@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "arch/platform.hpp"
@@ -28,9 +27,11 @@ struct SizingKey {
 /// VerificationOutcome — notably, moving a process to a *different tile of
 /// the same clock* without changing any route keeps the signature equal.
 ///
-/// The full serialized word vector is stored and compared, so equality is
-/// exact (no hash-collision risk); the precomputed hash only buckets the
-/// unordered_map.
+/// Serialized with the shared word serializer (util/words.hpp): names
+/// enter as their exact bytes, the buffer is sized to the exact word
+/// count, and the full word vector is stored and compared, so equality is
+/// exact (no hash-collision risk). The precomputed word-at-a-time hash
+/// only buckets the unordered_map.
 class MappingSignature {
  public:
   /// Builds the signature of a placed and routed mapping.
@@ -54,9 +55,6 @@ class MappingSignature {
 struct SignatureHash {
   std::size_t operator()(const MappingSignature& s) const { return s.hash(); }
 };
-
-/// FNV-1a over a string (used for name components of the signature).
-[[nodiscard]] std::uint64_t fnv1a(std::string_view s);
 
 /// Fingerprint of an application's *skeleton* (name, structure, QoS) —
 /// independent of any mapping. Keys the engine's warm-start hints, so

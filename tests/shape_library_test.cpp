@@ -263,6 +263,23 @@ TEST(ShapeLibrary, SkeletonKeyIgnoresNamesButNotStructure) {
   const auto other = pe_chain(3, "slower", /*wcet_cc=*/400);
   EXPECT_EQ(SkeletonKey::of(same1), SkeletonKey::of(same2));
   EXPECT_FALSE(SkeletonKey::of(same1) == SkeletonKey::of(other));
+
+  // The names the key does keep — fixture pins and tile types — count
+  // in full, also past their first eight bytes.
+  const auto pinned = [](const std::string& tile, const std::string& type) {
+    kpn::Application app("pinned", kpn::QosConstraints{});
+    const ProcessId io = app.add_fixture("io", tile);
+    kpn::Implementation im;
+    im.name = "io";
+    im.tile_type = type;
+    im.wcet_cc = {100};
+    app.add_implementation(io, std::move(im));
+    return app;
+  };
+  const auto base = SkeletonKey::of(pinned("IO-tile-north-1", "IO-type-a"));
+  EXPECT_EQ(base, SkeletonKey::of(pinned("IO-tile-north-1", "IO-type-a")));
+  EXPECT_FALSE(base == SkeletonKey::of(pinned("IO-tile-north-2", "IO-type-a")));
+  EXPECT_FALSE(base == SkeletonKey::of(pinned("IO-tile-north-1", "IO-type-b")));
 }
 
 TEST(RuntimeManagerShapes, MissLearnsThenHitTransfersOutcome) {
@@ -488,6 +505,40 @@ TEST(ExpansionCacheLru, TouchOnHitProtectsHotEntries) {
   EXPECT_EQ(cache.evictions(), 2u);
   EXPECT_EQ(cache.evicted_while_hot(), 1u);
   EXPECT_EQ(cache.size(), 2u);
+
+  // Three entries, hits interleaved with inserts: each insert evicts the
+  // entry touched longest ago, whatever its insertion order.
+  verify::ExpansionCache three(/*max_entries=*/3);
+  three.insert(sig(10), outcome());             // order: 10
+  three.insert(sig(20), outcome());             // 20 10
+  ASSERT_NE(three.find(sig(10)), nullptr);      // 10 20
+  three.insert(sig(30), outcome());             // 30 10 20
+  ASSERT_NE(three.find(sig(20)), nullptr);      // 20 30 10
+  ASSERT_NE(three.find(sig(10)), nullptr);      // 10 20 30
+  three.insert(sig(40), outcome());             // 40 10 20, evicts 30
+  EXPECT_EQ(three.evictions(), 1u);
+  EXPECT_EQ(three.evicted_while_hot(), 0u);
+  EXPECT_EQ(three.find(sig(30)), nullptr);
+  ASSERT_NE(three.find(sig(20)), nullptr);      // 20 40 10
+  three.insert(sig(50), outcome());             // 50 20 40, evicts 10
+  EXPECT_EQ(three.find(sig(10)), nullptr);
+  EXPECT_EQ(three.evicted_while_hot(), 1u);
+  three.insert(sig(60), outcome());             // 60 50 20, evicts 40
+  EXPECT_EQ(three.find(sig(40)), nullptr);
+  EXPECT_NE(three.find(sig(20)), nullptr);
+  EXPECT_NE(three.find(sig(50)), nullptr);
+  EXPECT_NE(three.find(sig(60)), nullptr);
+  EXPECT_EQ(three.evictions(), 3u);
+  EXPECT_EQ(three.evicted_while_hot(), 1u);
+  EXPECT_EQ(three.size(), 3u);
+
+  // A re-insert of a cached signature keeps the first outcome and does
+  // not refresh its recency.
+  const auto first = three.find(sig(20));  // 20 60 50
+  three.insert(sig(20), outcome());
+  EXPECT_EQ(three.find(sig(20)), first);
+  EXPECT_EQ(three.size(), 3u);
+  EXPECT_EQ(three.evictions(), 3u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "util/rational.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/words.hpp"
 
 namespace rtsm {
 namespace {
@@ -231,6 +232,77 @@ TEST(Strings, GroupDigits) {
   EXPECT_EQ(group_digits(999), "999");
   EXPECT_EQ(group_digits(1000), "1,000");
   EXPECT_EQ(group_digits(0), "0");
+}
+
+// ------------------------------------------------------------------ Words
+
+std::vector<std::uint64_t> string_key(std::string_view s) {
+  return serialize_words([s](auto& w) { w.put_string(s); });
+}
+
+TEST(Words, EqualStringsGiveEqualWords) {
+  const std::string a = "MONTIUM tile 12";
+  const std::string b = std::string("MONTIUM ") + "tile 12";
+  EXPECT_EQ(string_key(a), string_key(b));
+  EXPECT_EQ(string_key(a).size(), string_words(a.size()));
+}
+
+TEST(Words, StringsDifferingAfterTheFirstWordDiffer) {
+  // Same first eight bytes, same length: only the second packed word
+  // tells them apart.
+  EXPECT_NE(string_key("Inv.OFDM-1"), string_key("Inv.OFDM-2"));
+  EXPECT_NE(string_key("abcdefghijklmnopX"), string_key("abcdefghijklmnopY"));
+}
+
+TEST(Words, StringsDifferingOnlyInLengthDiffer) {
+  // Zero padding of the last word must not alias a trailing NUL byte.
+  EXPECT_NE(string_key("ab"), string_key(std::string_view("ab\0", 3)));
+  EXPECT_NE(string_key(""), string_key(std::string_view("\0", 1)));
+  EXPECT_NE(string_key("abcdefgh"),
+            string_key(std::string_view("abcdefgh\0", 9)));
+}
+
+TEST(Words, LengthPrefixesKeepRunsApart) {
+  // ("ab", "c") and ("a", "bc") pack the same bytes; the prefixes differ.
+  const auto split = [](std::string_view x, std::string_view y) {
+    return serialize_words([&](auto& w) {
+      w.put_string(x);
+      w.put_string(y);
+    });
+  };
+  EXPECT_NE(split("ab", "c"), split("a", "bc"));
+
+  const std::vector<std::uint32_t> one = {1, 2};
+  const std::vector<std::uint32_t> two = {1};
+  const auto runs = [](std::span<const std::uint32_t> x,
+                       std::span<const std::uint32_t> y) {
+    return serialize_words([&](auto& w) {
+      w.put_run(x);
+      w.put_run(y);
+    });
+  };
+  EXPECT_NE(runs(one, two), runs(two, one));
+}
+
+TEST(Words, BufferIsSizedToTheExactWordCount) {
+  const std::vector<std::uint32_t> rates(37, 8);
+  const auto words = serialize_words([&](auto& w) {
+    w.put(7);
+    w.put_double(0.5);
+    w.put_string("a seventeen bytes");
+    w.put_run(rates);
+  });
+  EXPECT_EQ(words.size(), 2 + string_words(17) + 1 + rates.size());
+  EXPECT_EQ(words.capacity(), words.size());
+}
+
+TEST(Words, HashFollowsTheWords) {
+  const std::vector<std::uint64_t> a = {1, 2, 3};
+  const std::vector<std::uint64_t> b = {1, 2, 3};
+  const std::vector<std::uint64_t> c = {1, 3, 2};
+  EXPECT_EQ(hash_words(a), hash_words(b));
+  EXPECT_NE(hash_words(a), hash_words(c));
+  EXPECT_NE(hash_words(a), hash_words(std::vector<std::uint64_t>{1, 2}));
 }
 
 }  // namespace
