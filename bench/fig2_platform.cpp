@@ -38,8 +38,12 @@ int main(int argc, char** argv) {
   tiles.align_right(5);
   for (const TileId tid : platform.tile_ids()) {
     const arch::Tile& t = platform.tile(tid);
-    tiles.add_row({t.name, platform.tile_type(t.type).name,
-                   "(" + std::to_string(t.x) + "," + std::to_string(t.y) + ")",
+    std::string position = "(";
+    position += std::to_string(t.x);
+    position += ',';
+    position += std::to_string(t.y);
+    position += ')';
+    tiles.add_row({t.name, platform.tile_type(t.type).name, position,
                    std::to_string(platform.tile_clock_hz(tid) / 1'000'000),
                    std::to_string(t.memory_bytes / 1024),
                    std::to_string(t.process_slots)});

@@ -1,6 +1,7 @@
 // Reproduces Figure 3 of the paper: the CSDF graph of the fully mapped
-// HIPERLAN/2 receiver — process actors, one 4-cycle router actor per
-// traversed router, 4-token buffers between hops, and the consumer-side
+// HIPERLAN/2 receiver — process actors, 4-cycle router actors along each
+// path (collapsed exactly to the two end routers on paths of 3+ routers),
+// 4-token buffers between hops, and the consumer-side
 // buffer capacities B1..B4 computed by the step-4 dataflow analysis (the
 // paper computes them with Wiggers et al. [11] but does not print values;
 // ours are recorded in EXPERIMENTS.md).
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
 
   const core::ExpandedGraph expanded =
       core::expand_mapping(app, platform, result.mapping);
-  std::printf("Expanded CSDF: %zu actors (%zu processes + %zu router hops), "
+  std::printf("Expanded CSDF: %zu actors (%zu processes + %zu router actors; "
+              "a path of 3+ routers keeps its two end routers), "
               "%zu edges\n\n",
               expanded.graph.actor_count(), app.process_count(),
               expanded.graph.actor_count() - app.process_count(),
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
     const std::uint32_t b = *result.mapping.buffer_tokens(cid);
     buffers.add_row(
         {"B" + std::to_string(++i) + ": " + c.name,
-         std::to_string(expanded.hop_actors[cid.value()].size()),
+         std::to_string(result.mapping.path(cid)->routers(platform).size()),
          std::to_string(platform.noc().hop_buffer_tokens) + " tokens/hop",
          std::to_string(b), std::to_string(b * c.token_bytes)});
   }

@@ -172,6 +172,11 @@ int main(int argc, char** argv) {
       cold_executed > 0 ? 1000.0 * cold_median /
                               static_cast<double>(cold_executed)
                         : 0.0;
+  const double cold_events_per_simulation =
+      cold_outcome.simulations > 0
+          ? static_cast<double>(cold_outcome.events_simulated) /
+                static_cast<double>(cold_outcome.simulations)
+          : 0.0;
   std::printf(
       "Step 4, cold (no cache): median %7.0f us  (%llu simulations, %llu "
       "events per verification, %llu of them skipped by the periodic "
@@ -179,8 +184,9 @@ int main(int argc, char** argv) {
       cold_median, static_cast<unsigned long long>(cold_outcome.simulations),
       static_cast<unsigned long long>(cold_outcome.events_simulated),
       static_cast<unsigned long long>(cold_outcome.events_skipped));
-  std::printf("Step 4, cold: %.1f ns per executed event\n",
-              cold_ns_per_executed_event);
+  std::printf("Step 4, cold: %.1f ns per executed event, %.0f events per "
+              "simulation\n",
+              cold_ns_per_executed_event, cold_events_per_simulation);
   std::printf("Step 4, warm (cached):   median %7.0f us  (signature of %zu "
               "words)\n",
               warm_median, signature_words);
@@ -276,13 +282,15 @@ int main(int argc, char** argv) {
                "%.1f, \"speedup\": %.2f, \"cold_simulations\": %llu, "
                "\"cold_events\": %llu, \"cold_events_skipped\": %llu, "
                "\"cold_ns_per_executed_event\": %.2f, "
+               "\"cold_events_per_simulation\": %.1f, "
                "\"cache_hit_rate\": %.4f, \"events_saved\": %llu, "
                "\"warm_signature_words\": %zu},\n",
                cold_median, warm_median, speedup,
                static_cast<unsigned long long>(cold_outcome.simulations),
                static_cast<unsigned long long>(cold_outcome.events_simulated),
                static_cast<unsigned long long>(cold_outcome.events_skipped),
-               cold_ns_per_executed_event, es.hit_rate(),
+               cold_ns_per_executed_event, cold_events_per_simulation,
+               es.hit_rate(),
                static_cast<unsigned long long>(es.events_saved),
                signature_words);
   std::fprintf(f,

@@ -80,10 +80,14 @@ std::shared_ptr<const kpn::Application> make_app(std::uint32_t stages,
                                                  std::uint32_t index) {
   kpn::QosConstraints qos;
   qos.symbol_period_ns = 4000;
-  kpn::Application app("churn" + std::to_string(index), qos);
+  std::string name = "churn";
+  name += std::to_string(index);
+  kpn::Application app(name, qos);
   std::vector<ProcessId> procs;
   for (std::uint32_t i = 0; i < stages; ++i) {
-    procs.push_back(app.add_process("S" + std::to_string(i)));
+    std::string process = "S";
+    process += std::to_string(i);
+    procs.push_back(app.add_process(process));
   }
   std::vector<ChannelId> chain;
   for (std::uint32_t i = 0; i + 1 < stages; ++i) {

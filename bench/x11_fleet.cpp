@@ -148,8 +148,9 @@ ChurnResult run_churn(const arch::Platform& platform, bool with_defrag,
     // Admit a burst of narrow apps, then punch holes by releasing every
     // other one — classic fragmentation bait for the wide apps below.
     for (int i = 0; i < 10; ++i) {
-      const auto app = workload::make_synthetic_app(
-          rng, narrow, "n" + std::to_string(serial++));
+      std::string name = "n";
+      name += std::to_string(serial++);
+      const auto app = workload::make_synthetic_app(rng, narrow, name);
       ++result.offered;
       const auto out = fleet.admit(app);
       if (out.status == runtime::AdmitStatus::Admitted) {
@@ -164,8 +165,9 @@ ChurnResult run_churn(const arch::Platform& platform, bool with_defrag,
     }
     if (with_defrag) fleet.defrag_tick();
     for (int i = 0; i < 2; ++i) {
-      const auto app = workload::make_synthetic_app(
-          rng, wide, "w" + std::to_string(serial++));
+      std::string name = "w";
+      name += std::to_string(serial++);
+      const auto app = workload::make_synthetic_app(rng, wide, name);
       ++result.offered;
       const auto out = fleet.admit(app);
       if (out.status == runtime::AdmitStatus::Admitted) {

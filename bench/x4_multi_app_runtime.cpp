@@ -96,6 +96,10 @@ struct BurstFigures {
   std::uint64_t conflicts = 0;
   /// The conflicts caught at a booking, before the plan's step 4 ran.
   std::uint64_t booking_conflicts = 0;
+  /// Admissions planned inside a region lease, and requests whose lease
+  /// attempt fell back to the whole platform (0 for the serial manager).
+  std::uint64_t lease_admits = 0;
+  std::uint64_t lease_fallbacks = 0;
   /// Mapping attempts per resolved request (1.0 = no re-plans).
   double attempts_per_request = 0.0;
   bool replay_ok = true;   ///< final state == serial replay of commits
@@ -115,6 +119,8 @@ void fill_percentiles(BurstFigures& figures,
   figures.rejected = stats.rejected;
   figures.conflicts = stats.conflicts;
   figures.booking_conflicts = stats.booking_conflicts;
+  figures.lease_admits = stats.lease_admits;
+  figures.lease_fallbacks = stats.lease_fallbacks;
 }
 
 double mean_attempts(const std::vector<runtime::AdmitOutcome>& outcomes) {
@@ -158,10 +164,10 @@ BurstFigures run_concurrent_burst(
   options.workers = workers;
   options.queue_capacity = 128;
   options.max_batch = 8;
-  // One shard per worker: concurrent planners start in disjoint mesh
-  // stripes, which avoids the burst-start thundering herd (every worker
-  // planning the same tiles of an empty platform and colliding at commit).
-  options.shards = workers;
+  // With more than one worker the manager leases mesh stripes: concurrent
+  // planners work in disjoint stripes, which avoids the burst-start
+  // thundering herd (every worker planning the same tiles of an empty
+  // platform and colliding at commit).
   runtime::ConcurrentRuntimeManager manager(
       platform, {.mapper = std::make_shared<core::SpatialMapper>()}, options);
 
@@ -220,6 +226,7 @@ void write_json(const std::string& path, std::size_t burst_size,
                  "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
                  "\"admitted\": %llu, \"rejected\": %llu, "
                  "\"conflicts\": %llu, \"booking_conflicts\": %llu, "
+                 "\"lease_admits\": %llu, \"lease_fallbacks\": %llu, "
                  "\"attempts_per_request\": %.4f, \"replay_ok\": %s, "
                  "\"restore_ok\": %s, \"verify_hit_rate\": %.4f, "
                  "\"verify_events_saved\": %llu",
@@ -228,6 +235,8 @@ void write_json(const std::string& path, std::size_t burst_size,
                  static_cast<unsigned long long>(b.rejected),
                  static_cast<unsigned long long>(b.conflicts),
                  static_cast<unsigned long long>(b.booking_conflicts),
+                 static_cast<unsigned long long>(b.lease_admits),
+                 static_cast<unsigned long long>(b.lease_fallbacks),
                  b.attempts_per_request,
                  b.replay_ok ? "true" : "false",
                  b.restore_ok ? "true" : "false", b.verify.hit_rate(),
@@ -433,13 +442,16 @@ int main(int argc, char** argv) {
     std::printf(
         "          %u workers %7.1f ms (%6.1f apps/s, p50 %.0f us, p95 %.0f "
         "us, p99 %.0f us), admitted %llu, conflicts %llu (%llu at "
-        "booking), %.2f attempts per request\n",
+        "booking), %.2f attempts per request, %llu lease admits, %llu lease "
+        "fallbacks\n",
         workers, concurrent.wall_ms, concurrent.throughput_per_s,
         concurrent.p50_us, concurrent.p95_us, concurrent.p99_us,
         static_cast<unsigned long long>(concurrent.admitted),
         static_cast<unsigned long long>(concurrent.conflicts),
         static_cast<unsigned long long>(concurrent.booking_conflicts),
-        concurrent.attempts_per_request);
+        concurrent.attempts_per_request,
+        static_cast<unsigned long long>(concurrent.lease_admits),
+        static_cast<unsigned long long>(concurrent.lease_fallbacks));
     std::printf(
         "Verification engine: serial hit rate %.2f (%llu events saved), "
         "concurrent hit rate %.2f (%llu events saved)\n",

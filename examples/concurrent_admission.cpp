@@ -3,8 +3,8 @@
 // spatial-mapper planning on resource-state snapshots outside any lock
 // (optimistic map -> validate -> commit), feeds a worker pool from a
 // bounded MPMC queue, reorders each drained burst by a priority policy,
-// and optionally partitions the mesh into shards so parallel planners
-// start in disjoint tile regions.
+// and leases each planner a vertical stripe of the mesh, so parallel
+// planners place in disjoint tile regions.
 
 #include <cstdio>
 #include <memory>
@@ -32,7 +32,6 @@ int main() {
   options.workers = 4;
   options.queue_capacity = 64;
   options.max_batch = 8;
-  options.shards = 2;  // two vertical mesh stripes with per-shard locks
   options.priority = std::make_shared<runtime::SmallestFirstPriority>();
   runtime::ConcurrentRuntimeManager manager(
       platform, {.mapper = std::make_shared<core::SpatialMapper>()}, options);
@@ -62,13 +61,16 @@ int main() {
   const runtime::AdmissionStats stats = manager.stats();
   std::printf(
       "  offered=%llu admitted=%llu rejected=%llu conflicts=%llu\n"
+      "  lease admits=%llu lease fallbacks=%llu (%zu stripes)\n"
       "  running=%zu, idle tiles=%zu, total energy=%.1f nJ/symbol\n"
       "  mapping latency p50=%.0f us p95=%.0f us (batch policy: %s)\n\n",
       static_cast<unsigned long long>(stats.offered),
       static_cast<unsigned long long>(stats.admitted),
       static_cast<unsigned long long>(stats.rejected),
       static_cast<unsigned long long>(stats.conflicts),
-      manager.running_count(), manager.state_snapshot().idle_tile_count(),
+      static_cast<unsigned long long>(stats.lease_admits),
+      static_cast<unsigned long long>(stats.lease_fallbacks),
+      manager.stripe_count(), manager.running_count(), manager.state_snapshot().idle_tile_count(),
       manager.total_energy_nj_per_symbol(), stats.latency_percentile_us(50),
       stats.latency_percentile_us(95), manager.priority_policy().name().c_str());
 

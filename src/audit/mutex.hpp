@@ -19,11 +19,11 @@ enum class LockRank : int {
   kFleetRoute = 20,        ///< FleetManager::route_mutex_.
   kFleetStats = 25,        ///< FleetManager::stats_mutex_.
 
-  // Manager layer. The shard lock ranks below the shape library: phase-1
-  // sharded admission holds its stripe lock across validate_and_commit,
+  // Manager layer. The lease lock ranks below the shape library: a lease
+  // held by a mapper that does not book lasts through validate_and_commit,
   // whose learn-on-admit tail takes the library lock.
   kManagerPump = 30,     ///< ConcurrentRuntimeManager::pump_mutex_.
-  kManagerShard = 35,    ///< ConcurrentRuntimeManager::Shard::mutex.
+  kManagerLease = 35,    ///< ConcurrentRuntimeManager::Stripe::mutex.
   kShapeLibrary = 40,    ///< shapes::ShapeLibrary::mutex_.
   kManagerObserver = 45, ///< ConcurrentRuntimeManager::observer_mutex_.
   kManagerState = 50,    ///< ConcurrentRuntimeManager::state_mutex_.

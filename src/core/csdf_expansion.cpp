@@ -1,6 +1,8 @@
 #include "core/csdf_expansion.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -76,41 +78,53 @@ ExpandedGraph expand_mapping(const kpn::Application& app,
       continue;
     }
 
-    // One forwarding actor per traversed router: consume 1, produce 1,
-    // 4 NoC cycles per token (the paper's R actors in Figure 3).
+    // Forwarding actors: consume 1, produce 1, 4 NoC cycles per token (the
+    // paper's R actors in Figure 3). A path of one or two routers keeps one
+    // actor per router. A longer path keeps its first and last router's
+    // actors, and one latency edge between them stands for the routers in
+    // the middle (exact; see ExpandedGraph).
     std::vector<ActorId>& hops = out.hop_actors[cid.value()];
-    for (std::size_t h = 0; h < routers.size(); ++h) {
-      hops.push_back(out.graph.add_actor(
-          "R" + std::to_string(routers[h].value()) + "[" + c.name + "]",
-          {hop_wcet_ps}));
-    }
+    auto add_router = [&](RouterId router) {
+      std::string name = "R";
+      name += std::to_string(router.value());
+      name += '[';
+      name += c.name;
+      name += ']';
+      hops.push_back(out.graph.add_actor(std::move(name), {hop_wcet_ps}));
+    };
+    add_router(routers.front());
+    if (routers.size() >= 2) add_router(routers.back());
 
     auto connect = [&](ActorId from, ActorId to, std::vector<std::uint32_t> p,
                        std::vector<std::uint32_t> q,
                        std::optional<std::uint32_t> capacity,
-                       const std::string& name) {
+                       std::string name, std::uint64_t latency_ps = 0) {
       csdf::Edge e;
-      e.name = name;
+      e.name = std::move(name);
       e.src = from;
       e.dst = to;
       e.production = std::move(p);
       e.consumption = std::move(q);
       e.capacity = capacity;
+      e.latency_ps = latency_ps;
       return out.graph.add_edge(std::move(e));
     };
 
     // The producer-side NI buffer must at least hold one phase's burst.
     std::uint32_t burst = 0;
     for (const std::uint32_t r : prod) burst = std::max(burst, r);
-    connect(src_actor, hops.front(), prod, {1},
-            std::max(hop_buffer, burst), c.name + "/inject");
-    for (std::size_t h = 0; h + 1 < hops.size(); ++h) {
-      connect(hops[h], hops[h + 1], {1}, {1}, hop_buffer,
-              c.name + "/hop" + std::to_string(h));
+    connect(src_actor, hops.front(), prod, {1}, std::max(hop_buffer, burst),
+            c.name + "/inject");
+    if (routers.size() >= 2) {
+      // The H-1 hop buffers between the end routers, and the H-2 router
+      // firings a token spends between them.
+      const auto middle = static_cast<std::uint32_t>(routers.size() - 2);
+      connect(hops[0], hops[1], {1}, {1}, (middle + 1) * hop_buffer,
+              c.name + (middle == 0 ? "/hop0" : "/hops"),
+              middle * hop_wcet_ps);
     }
-    out.consumer_edge[cid.value()] =
-        connect(hops.back(), dst_actor, {1}, cons, std::nullopt,
-                c.name + "/eject");
+    out.consumer_edge[cid.value()] = connect(
+        hops.back(), dst_actor, {1}, cons, std::nullopt, c.name + "/eject");
   }
   return out;
 }

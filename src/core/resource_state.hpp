@@ -104,7 +104,7 @@ class ResourceState : private noc::LinkLoadListener {
 
   /// Marks @p tile as completely occupied (full utilisation, no free
   /// memory, no free process slots). Used on snapshots to mask tiles
-  /// outside a shard so a mapper can only place within the shard's region.
+  /// outside a lease stripe so a mapper can only place within it.
   void saturate_tile(TileId tile);
 
   /// True when @p other books the same residual resources within a relative

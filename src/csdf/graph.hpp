@@ -31,6 +31,10 @@ struct Actor {
 /// phase-k firing. A finite capacity models a bounded buffer: space for the
 /// produced tokens is reserved when the producer *starts* a firing
 /// (conservative buffer semantics, as required for guaranteed QoS).
+///
+/// A positive latency_ps models a pipeline in transit: tokens a firing
+/// produces become consumable latency_ps after that firing ends, and they
+/// occupy capacity from the reservation until they are consumed.
 struct Edge {
   std::string name;
   ActorId src;
@@ -43,6 +47,9 @@ struct Edge {
   std::uint32_t initial_tokens = 0;
   /// FIFO capacity in tokens; nullopt = unbounded.
   std::optional<std::uint32_t> capacity;
+  /// Delay from the end of the producing firing until its tokens can be
+  /// consumed, ps.
+  std::uint64_t latency_ps = 0;
 
   [[nodiscard]] std::uint64_t tokens_per_src_cycle() const;
   [[nodiscard]] std::uint64_t tokens_per_dst_cycle() const;

@@ -11,6 +11,7 @@ namespace rtsm::csdf {
 namespace {
 
 constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint32_t kNoDelay = std::numeric_limits<std::uint32_t>::max();
 
 /// Flat structure-of-arrays image of the graph. The hot loop of the
 /// simulator touches only these dense integer arrays: Edge/Actor structs
@@ -30,6 +31,11 @@ struct FlatGraph {
   // actor's phase, consumption by the destination actor's phase).
   std::vector<std::uint32_t> src, dst;
   std::vector<std::uint64_t> capacity;
+  // Edges with a latency: delayed[d] is the edge of delay slot d, in edge
+  // order, and delay_slot[e] the slot of edge e (kNoDelay without one).
+  std::vector<std::uint32_t> delayed;
+  std::vector<std::uint32_t> delay_slot;
+  std::vector<std::uint64_t> latency;
   std::vector<std::uint32_t> prod;
   std::vector<std::uint32_t> cons;
 
@@ -63,6 +69,8 @@ struct FlatGraph {
     src.resize(num_edges);
     dst.resize(num_edges);
     capacity.resize(num_edges);
+    delay_slot.assign(num_edges, kNoDelay);
+    latency.resize(num_edges);
     std::vector<std::size_t> prod_off(num_edges + 1, 0);
     std::vector<std::size_t> cons_off(num_edges + 1, 0);
     in_off.assign(num_actors + 1, 0);
@@ -72,6 +80,11 @@ struct FlatGraph {
       src[e] = edge.src.value();
       dst[e] = edge.dst.value();
       capacity[e] = edge.capacity ? *edge.capacity : kUnbounded;
+      latency[e] = edge.latency_ps;
+      if (edge.latency_ps > 0) {
+        delay_slot[e] = static_cast<std::uint32_t>(delayed.size());
+        delayed.push_back(static_cast<std::uint32_t>(e));
+      }
       prod_off[e + 1] = prod_off[e] + edge.production.size();
       cons_off[e + 1] = cons_off[e] + edge.consumption.size();
       ++out_off[edge.src.value() + 1];
@@ -131,11 +144,51 @@ class ReadySet {
   std::vector<char> queued_;
 };
 
-/// Winner (tournament) tree over the actors' firings in flight. Leaf a
-/// holds the end time of actor a's firing (kUnbounded = idle); each inner
-/// node holds the actor with the earliest end time below it. Leaves are in
-/// actor-id order and a tie goes to the left child, so the root is the
-/// earliest firing and, among equal ends, the lowest actor id.
+/// Tokens one firing put in transit on a latency edge.
+struct Delivery {
+  std::uint64_t due = 0;
+  std::uint32_t tokens = 0;
+};
+
+/// The deliveries in transit on one latency edge, in FIFO order. Its
+/// producer fires sequentially and the latency is fixed, so due times
+/// never decrease along the queue.
+class Transit {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+  [[nodiscard]] const Delivery& front() const { return items_[head_]; }
+  [[nodiscard]] const Delivery& at(std::size_t i) const {
+    return items_[head_ + i];
+  }
+  void push(std::uint64_t due, std::uint32_t tokens) {
+    items_.push_back({due, tokens});
+  }
+  void pop() {
+    if (++head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    }
+  }
+  /// Moves every delivery @p delta later.
+  void shift(std::uint64_t delta) {
+    for (std::size_t i = head_; i < items_.size(); ++i) {
+      items_[i].due += delta;
+    }
+  }
+
+ private:
+  std::vector<Delivery> items_;
+  std::size_t head_ = 0;
+};
+
+/// Winner (tournament) tree over the pending events. Leaf a < #actors
+/// holds the end time of actor a's firing in flight (kUnbounded = idle);
+/// leaf #actors + d holds the due time of the next delivery on the edge of
+/// delay slot d. Each inner node holds the leaf with the earliest time
+/// below it. A tie goes to the left child, so the root is the earliest
+/// event and, among equal times, firings come before deliveries, each in
+/// actor or slot order.
 class WinnerTree {
  public:
   explicit WinnerTree(std::size_t n) {
@@ -188,7 +241,9 @@ class WinnerTree {
 /// rest of the run unfolds identically (up to a shift in time) compare
 /// equal: per actor its phase, its cycle counter modulo the repetition
 /// vector and the remaining time of its firing in flight (+1; 0 = idle),
-/// then per edge its tokens and reservations.
+/// then per edge its tokens and reservations, then per latency edge the
+/// number of deliveries in transit followed by each one's remaining time
+/// and tokens.
 struct Snapshot {
   std::vector<std::uint64_t> state;
   std::uint64_t iter = 0;
@@ -234,7 +289,11 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   std::vector<std::uint32_t> phase(num_actors, 0);
   std::vector<std::uint64_t> cycles_done(num_actors, 0);
   std::vector<std::uint64_t> tokens(num_edges);
+  // Space claimed on an edge by tokens not consumable yet: reserved when a
+  // firing starts, released into tokens when it ends or, on a latency
+  // edge, when its delivery falls due.
   std::vector<std::uint64_t> reserved(num_edges, 0);
+  std::vector<Transit> transit(fg.delayed.size());
   for (std::size_t e = 0; e < num_edges; ++e) {
     tokens[e] = graph.edge(EdgeId{static_cast<EdgeId::value_type>(e)})
                     .initial_tokens;
@@ -259,8 +318,9 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     sink_iter_end.assign(total_iters + 2, 0);
   }
 
-  // Firings in flight; an actor is busy while its leaf holds an end time.
-  WinnerTree in_flight(num_actors);
+  // Firings in flight and next deliveries; an actor is busy while its leaf
+  // holds an end time.
+  WinnerTree in_flight(num_actors + fg.delayed.size());
 
   SimulationResult result;
   result.measured_iterations_used = 0;
@@ -318,6 +378,25 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
         const std::uint32_t producer = fg.src[fg.in_edge[i]];
         if (!in_flight.busy(producer)) ready.push(producer);
       }
+    }
+  };
+
+  // The next delivery of delay slot @p d falls due: its tokens become
+  // consumable, which can enable only the edge's consumer.
+  auto deliver = [&](std::uint32_t d) {
+    const auto leaf = static_cast<std::uint32_t>(num_actors + d);
+    const std::uint32_t e = fg.delayed[d];
+    Transit& queue = transit[d];
+    const std::uint32_t delivered = queue.front().tokens;
+    queue.pop();
+    reserved[e] -= delivered;
+    tokens[e] += delivered;
+    in_flight.set(leaf, queue.empty() ? kUnbounded : queue.front().due);
+    in_flight.fix(leaf);
+    const std::uint32_t consumer = fg.dst[e];
+    if (!in_flight.busy(consumer)) {
+      ready.push(consumer);
+      drain_ready();
     }
   };
 
@@ -381,7 +460,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   std::vector<Snapshot> snapshots;
   auto take_snapshot = [&](std::uint64_t iter) {
     Snapshot snap;
-    snap.state.reserve(3 * num_actors + 2 * num_edges);
+    snap.state.reserve(3 * num_actors + 2 * num_edges + transit.size());
     for (std::uint32_t a = 0; a < num_actors; ++a) {
       snap.state.push_back(phase[a]);
       snap.state.push_back(cycles_done[a] % rv.cycles[a]);
@@ -390,6 +469,13 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     for (std::size_t e = 0; e < num_edges; ++e) {
       snap.state.push_back(tokens[e]);
       snap.state.push_back(reserved[e]);
+    }
+    for (const Transit& queue : transit) {
+      snap.state.push_back(queue.size());
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        snap.state.push_back(queue.at(i).due - now);
+        snap.state.push_back(queue.at(i).tokens);
+      }
     }
     snap.iter = iter;
     snap.now = now;
@@ -430,6 +516,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
         cycles_done[a] += periods * (cycles_done[a] - prev->cycles[a]);
       }
       in_flight.shift(periods * span);
+      for (Transit& queue : transit) queue.shift(periods * span);
       now += periods * span;
       result.events += periods * events;
       result.events_skipped += periods * events;
@@ -449,12 +536,18 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   while (true) {
     const std::uint32_t a = in_flight.top();
     if (!in_flight.busy(a)) {
+      // Nothing in flight and nothing in transit.
       result.status = SimulationStatus::Deadlock;
       result.message = describe_block();
       result.end_time_ps = now;
       return result;
     }
     now = in_flight.end(a);
+    if (a >= num_actors) {
+      // A delivery is not a firing: it counts toward no event figure.
+      deliver(static_cast<std::uint32_t>(a - num_actors));
+      continue;
+    }
     ++result.events;
     // The leaf is cleared now; its path is replayed only after the
     // enabling below, which most often restarts the same actor.
@@ -464,8 +557,20 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     for (std::size_t i = fg.out_off[a]; i < fg.out_off[a + 1]; ++i) {
       const std::uint32_t e = fg.out_edge[i];
       const std::uint32_t produced = fg.prod[fg.out_rate[i] + k];
-      reserved[e] -= produced;
-      tokens[e] += produced;
+      const std::uint32_t d = fg.delay_slot[e];
+      if (d == kNoDelay) {
+        reserved[e] -= produced;
+        tokens[e] += produced;
+      } else if (produced > 0) {
+        // In transit: the space stays claimed until the delivery.
+        const std::uint64_t due = now + fg.latency[e];
+        if (transit[d].empty()) {
+          const auto leaf = static_cast<std::uint32_t>(num_actors + d);
+          in_flight.set(leaf, due);
+          in_flight.fix(leaf);
+        }
+        transit[d].push(due, produced);
+      }
     }
     phase[a] = (k + 1 == fg.phase_count[a]) ? 0 : k + 1;
     if (phase[a] == 0) {

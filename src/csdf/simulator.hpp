@@ -29,6 +29,7 @@ struct SimulationConfig {
   /// adaptive window below is enabled).
   std::uint32_t measured_iterations = 16;
   /// Hard cap on firings, guards against runaway multi-rate graphs.
+  /// Deliveries on latency edges are not firings and do not count.
   std::uint64_t max_events = 20'000'000;
 
   /// Adaptive measurement window: when both fields are positive the run
@@ -68,7 +69,8 @@ struct SimulationResult {
   std::uint64_t latency_ps = 0;
 
   /// Firings of the complete self-timed schedule up to the end of the run,
-  /// including those a periodic fast-forward skipped.
+  /// including those a periodic fast-forward skipped. Deliveries on latency
+  /// edges are not firings and are not counted.
   std::uint64_t events = 0;
 
   /// Firings of `events` that were not executed one by one: whole periods
@@ -92,14 +94,18 @@ struct SimulationResult {
 
 /// Executes @p graph self-timed (every actor fires as early as possible,
 /// sequentially, consuming tokens at firing start with output space reserved
-/// at start and tokens delivered at firing end) until @p reference has
-/// completed warmup + measured iterations, where one iteration of an actor
-/// is rv.cycles[actor] full phase cycles.
+/// at start and tokens delivered at firing end, or Edge::latency_ps after
+/// it) until @p reference has completed warmup + measured iterations, where
+/// one iteration of an actor is rv.cycles[actor] full phase cycles. Tokens
+/// in transit keep the run going: only a state with no firing in flight
+/// and no delivery pending is a deadlock.
 ///
-/// Deterministic: ties are broken by actor id. Under the fixed window, once
-/// the self-timed state at a reference-iteration completion recurs, whole
-/// periods of the now repeating schedule are skipped (events_skipped);
-/// every reported figure equals that of the firing-by-firing run.
+/// Deterministic: among events at equal times, firing ends come before
+/// deliveries, each ordered by actor id or edge id. Under the fixed window,
+/// once the self-timed state at a reference-iteration completion recurs,
+/// whole periods of the now repeating schedule are skipped
+/// (events_skipped); every reported figure equals that of the
+/// firing-by-firing run.
 [[nodiscard]] SimulationResult simulate(const Graph& graph,
                                         const RepetitionVector& rv,
                                         ActorId reference,

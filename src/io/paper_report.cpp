@@ -114,7 +114,8 @@ std::string render_step3(const std::vector<core::Step3Record>& records) {
     std::string routers;
     for (const std::uint32_t rv : r.routers) {
       if (!routers.empty()) routers += "->";
-      routers += "R" + std::to_string(rv);
+      routers += 'R';
+      routers += std::to_string(rv);
     }
     if (routers.empty()) routers = "(same tile)";
     table.add_row({std::to_string(++i), r.channel,

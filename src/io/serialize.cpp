@@ -22,7 +22,10 @@ std::string encode_rates(const std::vector<std::uint32_t>& values) {
     while (i + run < values.size() && values[i + run] == values[i]) ++run;
     if (!out.empty()) out += ",";
     out += std::to_string(values[i]);
-    if (run > 1) out += "^" + std::to_string(run);
+    if (run > 1) {
+      out += '^';
+      out += std::to_string(run);
+    }
     i += run;
   }
   return out;

@@ -19,6 +19,28 @@
 
 namespace rtsm::runtime {
 
+/// One planner's hold on a lease stripe, whose mutex lock_free_stripe()
+/// took. Ends when the planner's placement is booked in the live state, or
+/// on destruction.
+class ConcurrentRuntimeManager::Lease {
+ public:
+  Lease(ConcurrentRuntimeManager& owner, std::size_t leased)
+      : manager(owner), stripe(leased) {}
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() { end(); }
+
+  void end() RTSM_NO_THREAD_SAFETY_ANALYSIS {
+    if (!held) return;
+    held = false;
+    manager.stripes_[stripe]->mutex.unlock();
+  }
+
+  ConcurrentRuntimeManager& manager;
+  std::size_t stripe;
+  bool held = true;
+};
+
 /// One placement booked in the live state between the mapper's step 3 and
 /// step 4. Only the planning thread touches it outside the state lock;
 /// while it is held, the manager's bookings_ list points at it so that the
@@ -36,7 +58,11 @@ class ConcurrentRuntimeManager::Booking final : public core::PlanBooking {
   Result book(const kpn::Application& booked_app, const core::Mapping& placed,
               const core::ResourceState& planned_on) override {
     require(&booked_app == app.get(), "booking of a foreign application");
-    return manager.book_placement(*this, placed, planned_on);
+    const Result result = manager.book_placement(*this, placed, planned_on);
+    // The placement is live now, and other planners' snapshots see it: the
+    // stripe is free for them.
+    if (result == Result::Booked && lease != nullptr) lease->end();
+    return result;
   }
 
   void release() override {
@@ -55,6 +81,8 @@ class ConcurrentRuntimeManager::Booking final : public core::PlanBooking {
   std::uint64_t unbooks = 0;
   /// The held booking took the version gate instead of re-validating.
   bool gated = false;
+  /// The lease the placement was planned in, if any.
+  Lease* lease = nullptr;
 };
 
 ConcurrentRuntimeManager::ConcurrentRuntimeManager(
@@ -82,22 +110,21 @@ ConcurrentRuntimeManager::ConcurrentRuntimeManager(
   // still matches skip re-validation entirely.
   state_.enable_journal();
   portfolio_ = make_portfolio(manager);
-  require(options_.shards >= 1, "shards must be >= 1");
   require(options_.max_batch >= 1, "max_batch must be >= 1");
   require(shapes_ == nullptr || &shapes_->platform() == &platform,
           "shape library must be built for this manager's platform");
   planner_ = std::make_unique<DefragPlanner>(mapper_, manager.defrag);
 
-  // Shards partition the mesh into vertical stripes; a tile belongs to the
-  // stripe its router column falls in.
-  const std::uint32_t shard_count = options_.shards;
-  for (std::uint32_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->owns_tile.assign(platform.tile_count(), false);
-    shards_.push_back(std::move(shard));
-  }
-  for (const TileId tid : platform.tile_ids()) {
-    shards_[shard_of(tid)]->owns_tile[tid.value()] = true;
+  // Region leases, when more than one planner can run: one vertical
+  // stripe more than there are workers, so a planner always finds one
+  // free. A portfolio race plans whole-platform instead (its strategies
+  // spread across the pool, not across stripes).
+  if (options_.workers >= 2 && portfolio_ == nullptr) {
+    const std::uint32_t count =
+        std::min(options_.workers + 1, platform.mesh_width());
+    for (std::uint32_t s = 0; count >= 2 && s < count; ++s) {
+      stripes_.push_back(std::make_unique<Stripe>());
+    }
   }
 
   workers_.reserve(options_.workers);
@@ -108,12 +135,13 @@ ConcurrentRuntimeManager::ConcurrentRuntimeManager(
 
 ConcurrentRuntimeManager::~ConcurrentRuntimeManager() { shutdown(); }
 
-std::size_t ConcurrentRuntimeManager::shard_of(TileId tile) const {
+std::size_t ConcurrentRuntimeManager::stripe_of(TileId tile) const {
+  if (stripes_.empty()) return 0;
   const std::uint32_t x = platform_->tile(tile).x;
   const std::uint32_t width = std::max(platform_->mesh_width(), 1u);
-  const std::size_t shard =
-      static_cast<std::size_t>(x) * options_.shards / width;
-  return std::min<std::size_t>(shard, options_.shards - 1);
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(x) * stripes_.size() / width,
+      stripes_.size() - 1);
 }
 
 std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
@@ -151,6 +179,15 @@ std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
     reject_shut_down(std::move(job.request));
   }
   return future;
+}
+
+void ConcurrentRuntimeManager::resolve_deadline_miss(Request request) {
+  AdmitOutcome outcome;
+  outcome.request = request.id;
+  outcome.status = AdmitStatus::DeadlineMiss;
+  outcome.attempts = request.attempts;
+  outcome.mapping_us = request.mapping_us;
+  resolve(std::move(request), std::move(outcome));
 }
 
 void ConcurrentRuntimeManager::reject_shut_down(Request request) {
@@ -463,12 +500,85 @@ void ConcurrentRuntimeManager::snapshot_state_into(
 }
 
 void ConcurrentRuntimeManager::masked_snapshot_into(
-    std::size_t shard, core::ResourceState& out) const {
+    std::size_t stripe, core::ResourceState& out) const {
   snapshot_state_into(out);
-  const std::vector<bool>& owns = shards_[shard]->owns_tile;
   for (const TileId tid : out.platform().tile_ids()) {
-    if (!owns[tid.value()]) out.saturate_tile(tid);
+    if (stripe_of(tid) != stripe) out.saturate_tile(tid);
   }
+}
+
+std::optional<std::size_t> ConcurrentRuntimeManager::lock_free_stripe()
+    RTSM_NO_THREAD_SAFETY_ANALYSIS {
+  std::vector<double> load(stripes_.size(), 0.0);
+  std::vector<std::size_t> tiles(stripes_.size(), 0);
+  {
+    // One O(tiles) scan under the state lock per leased attempt.
+    const audit::LockGuard lock(state_mutex_);
+    for (const TileId tid : platform_->tile_ids()) {
+      const std::size_t s = stripe_of(tid);
+      load[s] += core::tile_occupancy(state_, tid);
+      ++tiles[s];
+    }
+  }
+  std::vector<std::size_t> order(stripes_.size());
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    load[s] = tiles[s] == 0 ? std::numeric_limits<double>::infinity()
+                            : load[s] / static_cast<double>(tiles[s]);
+    order[s] = s;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return load[a] < load[b];
+  });
+  // try_lock only: a held stripe is another planner's, and the next one is
+  // as good as waiting for it.
+  for (const std::size_t s : order) {
+    if (stripes_[s]->mutex.try_lock()) return s;
+  }
+  return std::nullopt;
+}
+
+bool ConcurrentRuntimeManager::try_lease_admit(Request& request,
+                                               core::ResourceState& scratch) {
+  const std::optional<std::size_t> stripe = lock_free_stripe();
+  if (!stripe) {
+    const audit::LockGuard lock(stats_mutex_);
+    ++stats_.lease_fallbacks;
+    return false;
+  }
+  Lease lease(*this, *stripe);
+  masked_snapshot_into(*stripe, scratch);
+  Booking booking(*this, request.app);
+  booking.lease = &lease;
+  core::MappingResult result = run_mapper(request, scratch, &booking);
+  const bool booked = result.success && booking.held;
+  if (!booked) booking.release();
+  if (request.deadline_us > 0.0 && request.mapping_us > request.deadline_us) {
+    booking.release();
+    lease.end();
+    resolve_deadline_miss(std::move(request));
+    return true;
+  }
+  // A booked placement commits only its buffers; a mapper that does not
+  // book validates its whole plan at the end, still inside the lease.
+  bool conflict = booking.conflicted;
+  if (result.success) {
+    request.leased = true;
+    if (booked ? commit_booked(request, result, booking)
+               : validate_and_commit(request, result)) {
+      return true;
+    }
+    request.leased = false;
+    conflict = true;
+  }
+  lease.end();
+  const audit::LockGuard lock(stats_mutex_);
+  if (conflict) {
+    ++stats_.conflicts;
+    if (booking.conflicted) ++stats_.booking_conflicts;
+  }
+  ++stats_.lease_fallbacks;
+  return false;
 }
 
 bool ConcurrentRuntimeManager::try_shape_admit(Request& request,
@@ -523,51 +633,17 @@ bool ConcurrentRuntimeManager::try_shape_admit(Request& request,
 void ConcurrentRuntimeManager::process_request(
     Request request,
     core::ResourceState& scratch) RTSM_NO_THREAD_SAFETY_ANALYSIS {
-  auto miss = [&](Request r) {
-    AdmitOutcome outcome;
-    outcome.request = r.id;
-    outcome.status = AdmitStatus::DeadlineMiss;
-    outcome.attempts = r.attempts;
-    outcome.mapping_us = r.mapping_us;
-    resolve(std::move(r), std::move(outcome));
-  };
-
   // Phase 0 — shape-library hot path: instantiate a learned relocatable
   // placement and commit it through the ordinary two-phase commit,
-  // skipping the mapper (and the shard machinery — a shape probe is
-  // cheaper than the stripe bookkeeping it would be confined by).
+  // skipping the mapper (and the lease — a shape probe is cheaper than
+  // the stripe bookkeeping it would be confined by).
   if (shapes_ != nullptr && try_shape_admit(request, scratch)) {
     return;
   }
 
-  // Phase 1 — sharded admission: plan confined to the least-loaded stripe
-  // of the mesh. The shard lock serializes planners per region (two
-  // workers never plan into the same stripe at once), so shard-local
-  // plans almost never hit a validation conflict; foreign-tile traffic
-  // can still conflict and is caught by validate_and_commit. A portfolio
-  // manager skips the stripe machinery: the race plans whole-platform
-  // (its strategies spread across the pool instead of across stripes).
-  if (options_.shards >= 2 && portfolio_ == nullptr) {
-    const std::size_t s = pick_shard();
-    audit::UniqueLock shard_lock(shards_[s]->mutex);
-    masked_snapshot_into(s, scratch);
-    core::MappingResult result = run_mapper(request, scratch);
-    if (request.deadline_us > 0.0 && request.mapping_us > request.deadline_us) {
-      shard_lock.unlock();
-      miss(std::move(request));
-      return;
-    }
-    if (result.success) {
-      if (validate_and_commit(request, result)) return;
-      // The shard plan got outraced (shared NoC links, foreign commits).
-      const audit::LockGuard lock(stats_mutex_);
-      ++stats_.conflicts;
-    }
-    // Shard full or outraced: phase 2 falls back to the whole platform.
-    shard_lock.unlock();
-    const audit::LockGuard lock(stats_mutex_);
-    ++stats_.shard_fallbacks;
-  }
+  // Phase 1 — region lease: plan inside the least-occupied stripe no other
+  // planner holds, so the commit meets no other planner's placement.
+  if (!stripes_.empty() && try_lease_admit(request, scratch)) return;
 
   // Phase 2 — whole-platform optimistic loop: map on a snapshot outside
   // any lock, re-validate + commit under the state lock, re-map on
@@ -595,7 +671,7 @@ void ConcurrentRuntimeManager::process_request(
     if (booking && !booked) booking->release();
     if (request.deadline_us > 0.0 && request.mapping_us > request.deadline_us) {
       booking.reset();
-      miss(std::move(request));
+      resolve_deadline_miss(std::move(request));
       return;
     }
     if (result.success && !booked) {
@@ -673,13 +749,14 @@ void ConcurrentRuntimeManager::process_request(
   }
 }
 
-void ConcurrentRuntimeManager::record_outcome(RequestId request,
+void ConcurrentRuntimeManager::record_outcome(const Request& request,
                                               const AdmitOutcome& outcome) {
   const audit::LockGuard lock(stats_mutex_);
   switch (outcome.status) {
     case AdmitStatus::Admitted:
       ++stats_.admitted;
       if (outcome.shape_hit) ++stats_.shape_hits;
+      if (request.leased) ++stats_.lease_admits;
       break;
     case AdmitStatus::Rejected:
       ++stats_.rejected;
@@ -691,11 +768,11 @@ void ConcurrentRuntimeManager::record_outcome(RequestId request,
       break;
   }
   stats_.latencies.record(outcome.mapping_us);
-  resolution_order_.push_back(request);
+  resolution_order_.push_back(request.id);
 }
 
 void ConcurrentRuntimeManager::resolve(Request request, AdmitOutcome outcome) {
-  record_outcome(request.id, outcome);
+  record_outcome(request, outcome);
   request.promise.set_value(std::move(outcome));
   finish_one();
 }
@@ -950,44 +1027,6 @@ SwitchOutcome ConcurrentRuntimeManager::switch_mode(
   return out;
 }
 
-std::size_t ConcurrentRuntimeManager::pick_shard() const {
-  if (options_.shards < 2) return 0;
-  std::vector<double> load(options_.shards, 0.0);
-  std::vector<std::size_t> tiles(options_.shards, 0);
-  {
-    // One O(tiles) scan under the state lock per sharded admission. The
-    // lock is taken by validate_and_commit right after anyway, and tile
-    // counts are small; incrementally maintained per-shard occupancy
-    // counters are the upgrade path if this scan ever shows up in a
-    // profile.
-    const audit::LockGuard lock(state_mutex_);
-    for (const TileId tid : platform_->tile_ids()) {
-      const std::size_t s = shard_of(tid);
-      load[s] += core::tile_occupancy(state_, tid);
-      ++tiles[s];
-    }
-  }
-  double best_load = std::numeric_limits<double>::infinity();
-  std::vector<double> mean(load.size());
-  for (std::size_t s = 0; s < load.size(); ++s) {
-    mean[s] = tiles[s] == 0 ? std::numeric_limits<double>::infinity()
-                            : load[s] / static_cast<double>(tiles[s]);
-    best_load = std::min(best_load, mean[s]);
-  }
-  // Near-ties rotate: on an empty or evenly loaded platform every worker
-  // would otherwise compute the same winner and serialize on one stripe's
-  // mutex — the burst-start herd sharding exists to avoid. Stripes within
-  // a small band of the minimum are treated as equals and dealt out
-  // round-robin.
-  constexpr double kTieBand = 0.05;
-  std::vector<std::size_t> candidates;
-  for (std::size_t s = 0; s < mean.size(); ++s) {
-    if (mean[s] <= best_load + kTieBand) candidates.push_back(s);
-  }
-  if (candidates.size() == 1) return candidates.front();
-  return candidates[tie_break_.fetch_add(1) % candidates.size()];
-}
-
 void ConcurrentRuntimeManager::wait_idle() RTSM_NO_THREAD_SAFETY_ANALYSIS {
   audit::UniqueLock lock(idle_mutex_);
   idle_cv_.wait(lock, [&] { return in_flight_.load() == 0; });
@@ -1014,7 +1053,7 @@ std::vector<AdmitOutcome> ConcurrentRuntimeManager::reject_waiting() {
     outcome.mapping.failure = "still waiting at end of scenario";
     // Shares resolve()'s bookkeeping but not its finish_one(): a parked
     // request already left the in-flight count when it parked.
-    record_outcome(request.id, outcome);
+    record_outcome(request, outcome);
     outcomes.push_back(outcome);
     request.promise.set_value(std::move(outcome));
   }

@@ -6,6 +6,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -47,13 +48,6 @@ struct ConcurrentOptions {
   /// ranked (after the RequestClass, before arrival order). Null defaults
   /// to FifoPriority.
   std::shared_ptr<const PriorityPolicy> priority;
-
-  /// Number of tile-region shards (vertical mesh stripes). >= 2 enables
-  /// two-phase sharded admission: a request first plans confined to the
-  /// least-loaded shard (per-shard lock, tiles outside the shard masked as
-  /// saturated), and falls back to whole-platform optimistic admission
-  /// when the shard cannot host it (counted in stats().shard_fallbacks).
-  std::uint32_t shards = 1;
 };
 
 /// Thread-safe run-time admission manager: concurrent arrivals, a worker
@@ -73,8 +67,20 @@ struct ConcurrentOptions {
 /// validated and booked in the live state before the step-4 simulation,
 /// which then runs outside the lock, and the final commit adds only the
 /// buffers. A failed step 4, a deadline miss or an exception releases the
-/// booking. Portfolio races, shape hits, the shard phase and mappers that
-/// do not book still validate the whole plan at the end.
+/// booking. Portfolio races, shape hits and mappers that do not book still
+/// validate the whole plan at the end.
+///
+/// Region leases make that loop conflict-free when more than one planner
+/// runs (workers >= 2, portfolio off). The mesh is split into
+/// min(workers + 1, mesh width) vertical stripes, one more than there are
+/// planners, so a planner always finds a stripe no other planner holds.
+/// Each shape-miss attempt try-locks the least-occupied free stripe and
+/// maps on a snapshot with every tile outside it saturated. A booking
+/// mapper ends the lease once its placement is booked in the live state;
+/// any other mapper holds it through its end-of-plan validation. A stripe
+/// that cannot host the application falls back to the whole-platform
+/// optimistic loop, so a lease never makes a request less admissible
+/// (stats().lease_admits, stats().lease_fallbacks).
 ///
 /// Semantics relative to the serial RuntimeManager:
 /// - submit() returns a std::future<AdmitOutcome> instead of feeding a
@@ -220,9 +226,13 @@ class ConcurrentRuntimeManager {
     return portfolio_.get();
   }
 
-  /// Shard index hosting @p tile (tiles are partitioned into vertical mesh
-  /// stripes); always 0 when sharding is off.
-  [[nodiscard]] std::size_t shard_of(TileId tile) const;
+  /// Lease stripe hosting @p tile (tiles are partitioned into vertical mesh
+  /// stripes); always 0 when leases are off.
+  [[nodiscard]] std::size_t stripe_of(TileId tile) const;
+
+  /// Lease stripes: min(workers + 1, mesh width) when more than one
+  /// planner runs and the portfolio is off, else 0 (no leases).
+  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
   /// Runs one defragmentation pass right now (regardless of policy) under
   /// the state lock and merges its result into stats(). For operators,
@@ -242,6 +252,8 @@ class ConcurrentRuntimeManager {
     bool defragged = false;
     /// Preemption victim re-entering the stream; never preempts again.
     bool reparked = false;
+    /// The plan being committed was made in a region lease.
+    bool leased = false;
     /// Winning strategy of the portfolio race that produced the current
     /// plan (copied onto the outcome by validate_and_commit).
     std::string portfolio_winner;
@@ -259,13 +271,15 @@ class ConcurrentRuntimeManager {
     std::size_t strategy = 0;
   };
 
-  struct Shard {
-    /// One class for every shard instance: shard locks are never nested
-    /// (a fallback to whole-platform admission releases the shard lock
-    /// first), which the witness graph would flag as a self-edge.
-    audit::Mutex mutex{audit::LockRank::kManagerShard, "manager.shard"};
-    std::vector<bool> owns_tile;  // indexed by TileId::value()
+  struct Stripe {
+    /// One class for every stripe: a planner holds at most one lease, and
+    /// only ever try-locks it, so lease locks never nest.
+    audit::Mutex mutex{audit::LockRank::kManagerLease, "manager.lease"};
   };
+
+  /// A planner's hold on one stripe (defined in the .cpp); ends on
+  /// destruction at the latest.
+  class Lease;
 
   void worker_loop();
   /// Runs one popped batch: helper jobs first (a racing owner may be
@@ -284,8 +298,20 @@ class ConcurrentRuntimeManager {
 
   /// The manager's side of core::PlanBooking (defined in the .cpp): one
   /// placement booked in state_ while its step 4 runs, released on
-  /// destruction unless commit_booked() consumed it.
+  /// destruction unless commit_booked() consumed it. A booking made under
+  /// a lease ends the lease.
   class Booking;
+
+  /// Region-lease phase: leases the least-occupied free stripe, maps on
+  /// its masked snapshot and commits through the booking (or, for a
+  /// mapper that does not book, end-of-plan validation). True when the
+  /// request was resolved (admitted or deadline miss); false sends it on
+  /// to the whole-platform loop (stats().lease_fallbacks).
+  bool try_lease_admit(Request& request, core::ResourceState& scratch);
+
+  /// Try-locks the free stripes in order of live occupancy, least first,
+  /// and returns the one it locked; nullopt when every stripe is held.
+  std::optional<std::size_t> lock_free_stripe();
 
   /// One mapping attempt against @p base; updates attempt counters. With
   /// @p booking the mapper may book its placement before step 4.
@@ -351,14 +377,9 @@ class ConcurrentRuntimeManager {
   /// commit gate checks.
   void snapshot_state_into(core::ResourceState& out) const;
 
-  /// snapshot_state_into + all tiles outside @p shard saturated.
-  void masked_snapshot_into(std::size_t shard, core::ResourceState& out) const;
-
-  /// Least-loaded shard by live occupancy (mean tile_occupancy of the
-  /// stripe's tiles). Stripes within a small band of the minimum are
-  /// dealt out round-robin so concurrent planners on an evenly loaded
-  /// platform still start in disjoint stripes.
-  [[nodiscard]] std::size_t pick_shard() const;
+  /// snapshot_state_into + all tiles outside @p stripe saturated.
+  void masked_snapshot_into(std::size_t stripe,
+                            core::ResourceState& out) const;
 
   /// Evicts lower-priority preemptible victims for @p request and commits
   /// its plan, all under one state-lock hold (atomic against racing
@@ -387,10 +408,12 @@ class ConcurrentRuntimeManager {
 
   /// Outcome bookkeeping shared by every resolution path: counters,
   /// latency sample, resolution order.
-  void record_outcome(RequestId request, const AdmitOutcome& outcome);
+  void record_outcome(const Request& request, const AdmitOutcome& outcome);
   void resolve(Request request, AdmitOutcome outcome);
   /// Resolves @p request as rejected because the manager is shut down.
   void reject_shut_down(Request request);
+  /// Resolves @p request as a deadline miss of its mapping budget.
+  void resolve_deadline_miss(Request request);
 
   /// Parks @p request — unless a release advanced the epoch past
   /// @p epoch_seen since the failed attempt planned its snapshot, in which
@@ -488,12 +511,11 @@ class ConcurrentRuntimeManager {
 
   BoundedQueue<Job> queue_;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Empty when leases are off.
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 
   std::atomic<std::uint64_t> next_request_{1};
   std::atomic<std::uint32_t> next_app_{0};
-  /// Rotates pick_shard()'s choice among equally-loaded stripes.
-  mutable std::atomic<std::uint64_t> tie_break_{0};
   std::atomic<std::uint64_t> in_flight_{0};
   std::atomic<bool> stopped_{false};
   /// Leaf: wait_idle() parks here; finish_one() only signals under it.

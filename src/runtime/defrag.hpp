@@ -98,10 +98,9 @@ struct DefragPassResult {
 /// committed onto the *live* state as a MappingDelta sequence (phase 2);
 /// if any delta stops fitting mid-commit, the applied prefix is rolled
 /// back in reverse order, the live state is exactly restored, and the
-/// pass aborts with a recorded migration failure. On a sharded
-/// concurrent manager the mapper plans across the whole platform, so a
-/// pass also rebalances applications across shard stripes (cross-shard
-/// work stealing).
+/// pass aborts with a recorded migration failure. On a concurrent manager
+/// with region leases the mapper plans across the whole platform, so a
+/// pass also rebalances applications across lease stripes.
 class DefragPlanner {
  public:
   DefragPlanner(std::shared_ptr<const core::Mapper> mapper,

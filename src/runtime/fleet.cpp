@@ -589,6 +589,8 @@ AdmissionStats FleetTarget::stats() const {
     sum.release_errors += s.release_errors;
     sum.conflicts += s.conflicts;
     sum.booking_conflicts += s.booking_conflicts;
+    sum.lease_admits += s.lease_admits;
+    sum.lease_fallbacks += s.lease_fallbacks;
     sum.defrag_passes += s.defrag_passes;
     sum.migrations += s.migrations;
     sum.migration_failures += s.migration_failures;

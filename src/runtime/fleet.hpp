@@ -132,7 +132,7 @@ struct FleetStatsReport {
 /// submit/release/switch_mode front-end. One mesh is one chip; the fleet
 /// is the row of chips a production deployment load-balances across.
 ///
-/// Dispatch lifts the shard machinery's least-loaded heuristic to platform
+/// Dispatch lifts the region leases' least-occupied heuristic to platform
 /// granularity: an admission goes to the platform with the lowest mean
 /// live tile occupancy (+ a small in-flight term), spills over to the
 /// next-best platform when rejected, and can optionally make room by

@@ -137,9 +137,13 @@ struct AdmissionStats {
   /// core::PlanBooking).
   std::uint64_t booking_conflicts = 0;
 
-  /// Sharded-mode requests that fell back to whole-platform admission
-  /// after their stripe could not host them (concurrent manager only).
-  std::uint64_t shard_fallbacks = 0;
+  /// Shape-miss requests admitted inside a region lease (concurrent
+  /// manager with leases only).
+  std::uint64_t lease_admits = 0;
+  /// Requests that tried a lease and went on to the whole-platform loop:
+  /// the stripe could not host them, their plan conflicted, or every
+  /// stripe was held.
+  std::uint64_t lease_fallbacks = 0;
 
   // -- defragmentation (see runtime/defrag.hpp) ----------------------------
   std::uint64_t defrag_passes = 0;        ///< Passes that ran.

@@ -83,7 +83,8 @@ Schedule make_mode_churn_schedule(const ScheduleParams& params,
       ev.kind = ScenarioEvent::Kind::Arrive;
       ev.wave = wave;
       ev.slot = slots.size();
-      const std::string name = "s" + std::to_string(slots.size());
+      std::string name = "s";
+      name += std::to_string(slots.size());
       if (rng.bernoulli(params.hiperlan_fraction)) {
         slot.hiperlan = true;
         const auto& modes = workload::kHiperlan2Modes;

@@ -49,7 +49,8 @@ std::string StatsReport::to_json() const {
       << ",\"release_errors\":" << a.release_errors
       << ",\"conflicts\":" << a.conflicts
       << ",\"booking_conflicts\":" << a.booking_conflicts
-      << ",\"shard_fallbacks\":" << a.shard_fallbacks
+      << ",\"lease_admits\":" << a.lease_admits
+      << ",\"lease_fallbacks\":" << a.lease_fallbacks
       << ",\"snapshot_reuses\":" << a.snapshot_reuses
       << ",\"mean_latency_us\":" << num(a.mean_latency_us())
       << ",\"p50_us\":" << num(a.latency_percentile_us(50.0))

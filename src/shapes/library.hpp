@@ -144,8 +144,8 @@ class ShapeLibrary {
   ShapeLibraryOptions options_;
 
   /// Serializes bucket/recency/stats bookkeeping only; anchor probing runs
-  /// outside it. Ranked above the manager shard lock: learn-on-admit runs
-  /// in validate_and_commit's tail while phase-1 still holds its stripe.
+  /// outside it. Ranked above the manager lease lock: learn-on-admit runs
+  /// in validate_and_commit's tail while a lease may still be held.
   mutable audit::Mutex mutex_{audit::LockRank::kShapeLibrary,
                               "shapes.library"};
   std::unordered_map<std::uint64_t, Bucket> buckets_

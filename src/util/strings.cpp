@@ -30,7 +30,10 @@ std::string format_phase_vector(std::span<const std::uint32_t> values) {
     if (!first) out += ", ";
     first = false;
     out += std::to_string(values[i]);
-    if (run > 1) out += "^" + std::to_string(run);
+    if (run > 1) {
+      out += '^';
+      out += std::to_string(run);
+    }
     i += run;
   }
   out += ">";

@@ -50,7 +50,9 @@ kpn::Application make_synthetic_app(Rng& rng, const SyntheticAppParams& params,
   std::vector<ProcessId> procs;
   procs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    procs.push_back(app.add_process("P" + std::to_string(i)));
+    std::string process = "P";
+    process += std::to_string(i);
+    procs.push_back(app.add_process(process));
   }
 
   auto tokens = [&] {

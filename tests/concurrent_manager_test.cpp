@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -290,36 +293,42 @@ TEST(ConcurrentRuntimeManager, FifoPriorityKeepsArrivalOrder) {
   EXPECT_EQ(order[1], f2.get().request);
 }
 
-TEST(ConcurrentRuntimeManager, ShardedModeAdmitsWithFallback) {
-  // Two vertical shards on the 3x2 test mesh. Shard-confined planning must
-  // still admit up to capacity thanks to the whole-platform fallback, and
-  // the bookkeeping must stay replayable.
+TEST(ConcurrentRuntimeManager, LeaseStripesPartitionTheMeshWithFallback) {
+  // Two workers on the 3x2 test mesh: one stripe per mesh column. Leased
+  // planning must still admit up to capacity thanks to the whole-platform
+  // fallback, and the bookkeeping must stay replayable.
   const auto platform = test::small_platform();
-  ConcurrentRuntimeManager manager(
-      platform, {.mapper = paper_mapper()},
-      {.workers = 2, .queue_capacity = 16, .shards = 2});
+  ConcurrentRuntimeManager manager(platform, {.mapper = paper_mapper()},
+                                   {.workers = 2, .queue_capacity = 16});
+  ASSERT_EQ(manager.stripe_count(), 3u);
 
-  // Every tile belongs to exactly one shard and both shards are used.
-  std::vector<std::size_t> per_shard(2, 0);
+  // Every tile belongs to exactly one stripe, its column.
   for (const TileId tid : platform.tile_ids()) {
-    const std::size_t s = manager.shard_of(tid);
-    ASSERT_LT(s, 2u);
-    ++per_shard[s];
+    EXPECT_EQ(manager.stripe_of(tid), platform.tile(tid).x);
   }
-  EXPECT_GT(per_shard[0], 0u);
-  EXPECT_GT(per_shard[1], 0u);
 
   const auto app = compute_app(2);
   std::uint32_t ok = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
     if (manager.admit(app).status == AdmitStatus::Admitted) ++ok;
   }
-  // 2 BIG + 2 LITTLE single-slot tiles: two 2-stage apps fill them.
+  // 2 BIG + 2 LITTLE single-slot tiles: two 2-stage apps fill them. The
+  // IO-only stripe cannot host one, so some requests fell back.
   EXPECT_EQ(ok, 2u);
-  // Least-loaded dispatch spread the first two admissions over both
-  // stripes; the failing ones fell back to the whole platform.
-  EXPECT_GE(manager.stats().shard_fallbacks, 1u);
+  EXPECT_GE(manager.stats().lease_fallbacks, 1u);
   expect_state_equals_serial_replay(platform, manager);
+}
+
+TEST(ConcurrentRuntimeManager, NoLeasesWithOnePlanner) {
+  const auto platform = test::small_platform();
+  ConcurrentRuntimeManager pumped(platform, {.mapper = paper_mapper()},
+                                  {.workers = 0});
+  ConcurrentRuntimeManager single(platform, {.mapper = paper_mapper()},
+                                  {.workers = 1});
+  EXPECT_EQ(pumped.stripe_count(), 0u);
+  EXPECT_EQ(single.stripe_count(), 0u);
+  ASSERT_EQ(single.admit(compute_app(2)).status, AdmitStatus::Admitted);
+  EXPECT_EQ(single.stats().lease_admits + single.stats().lease_fallbacks, 0u);
 }
 
 TEST(ConcurrentRuntimeManager, RetryPolicyParksAndReleaseWakes) {
@@ -346,7 +355,10 @@ TEST(ConcurrentRuntimeManager, RetryPolicyParksAndReleaseWakes) {
   ASSERT_TRUE(manager.release(a.app_id));
   const auto outcome = parked.get();
   EXPECT_EQ(outcome.status, AdmitStatus::Admitted);
-  EXPECT_EQ(outcome.attempts, 2u);
+  // Each pass is a leased attempt (no column holds both BIG tiles) and a
+  // whole-platform one.
+  EXPECT_EQ(outcome.attempts, 4u);
+  EXPECT_EQ(manager.stats().lease_fallbacks, 3u);
   EXPECT_EQ(manager.waiting_count(), 0u);
   EXPECT_GE(manager.stats().retries, 1u);
 }
@@ -570,14 +582,15 @@ TEST(ConcurrentRuntimeManager, EightThreadStressWithDefragOn) {
   expect_state_equals_serial_replay(platform, manager);
 }
 
-TEST(ConcurrentRuntimeManager, ShardedStressWithDefragRebalances) {
-  // Sharded mode + defrag: passes plan whole-platform, so migrations may
-  // cross stripe boundaries (the work-stealing path). The bookkeeping
-  // must survive the combination under churn.
+TEST(ConcurrentRuntimeManager, LeaseStressWithDefragRebalances) {
+  // Region leases + defrag: passes plan whole-platform, so migrations may
+  // cross stripe boundaries. The bookkeeping must survive the combination
+  // under churn.
   const auto platform = test::small_platform();
   ConcurrentRuntimeManager manager(
       platform, {.mapper = paper_mapper(), .defrag = on_release_defrag(0.1)},
-      {.workers = 2, .queue_capacity = 32, .shards = 2});
+      {.workers = 2, .queue_capacity = 32});
+  ASSERT_EQ(manager.stripe_count(), 3u);
   const auto app = compute_app(2);
 
   std::vector<std::thread> clients;
@@ -776,7 +789,10 @@ TEST(ConcurrentBooking, BookingConflictCountsAgainstTheRetryBudget) {
   const AdmitOutcome ob = b.get();
   ASSERT_EQ(oa.status, AdmitStatus::Admitted) << oa.mapping.failure;
   ASSERT_EQ(ob.status, AdmitStatus::Admitted) << ob.mapping.failure;
-  EXPECT_EQ(oa.attempts + ob.attempts, 3u) << "one request re-planned once";
+  // Each request first tried a lease, which no stripe can grant: the
+  // fixtures pin SRC and DST to the first and last stripe.
+  EXPECT_EQ(oa.attempts + ob.attempts, 5u) << "one request re-planned once";
+  EXPECT_EQ(manager.stats().lease_fallbacks, 2u);
   EXPECT_NE(manager.mapping_of(oa.app_id).tile_of(ProcessId{0}),
             manager.mapping_of(ob.app_id).tile_of(ProcessId{0}));
   EXPECT_EQ(probe->refusals.load(), 1);
@@ -861,7 +877,9 @@ TEST(ConcurrentBooking, BufferMisfitAtFinalCommitIsAConflict) {
 
   const AdmitOutcome oa = a.get();
   EXPECT_EQ(oa.status, AdmitStatus::Rejected);
-  EXPECT_EQ(oa.attempts, 2u);
+  // A leased attempt (one tile cannot hold both stages), then two
+  // whole-platform ones.
+  EXPECT_EQ(oa.attempts, 3u);
   const AdmissionStats stats = manager.stats();
   EXPECT_EQ(stats.conflicts, 1u);
   EXPECT_EQ(stats.booking_conflicts, 0u) << "the booking itself fitted";
@@ -914,7 +932,8 @@ TEST(ConcurrentBooking, ReleasedBookingWakesAParkedRequest) {
       << "the released booking did not wake the parked request";
   const AdmitOutcome ox = x.get();
   EXPECT_EQ(ox.status, AdmitStatus::Admitted) << ox.mapping.failure;
-  EXPECT_EQ(ox.attempts, 2u);
+  // Every pass tries the IO-only stripe of the fixtures' column first.
+  EXPECT_EQ(ox.attempts, 4u);
   // Y's own wake says nothing about Y's verdict: Y parks after one attempt
   // instead of re-planning on it.
   ASSERT_TRUE(wait_for_parked(manager, 1)) << "Y did not park";
@@ -924,7 +943,7 @@ TEST(ConcurrentBooking, ReleasedBookingWakesAParkedRequest) {
   ASSERT_EQ(given_up.size(), 1u);
   const AdmitOutcome oy = y.get();
   EXPECT_EQ(oy.status, AdmitStatus::Rejected);
-  EXPECT_EQ(oy.attempts, 1u);
+  EXPECT_EQ(oy.attempts, 2u);
   expect_books_balance_and_release_all(platform, manager);
 }
 
@@ -983,6 +1002,297 @@ TEST(ConcurrentBooking, WakeOnAFullQueueIsDeferredToTheNextPop) {
   EXPECT_EQ(y.get().status, AdmitStatus::Rejected);
   EXPECT_EQ(w.get().status, AdmitStatus::Rejected);
   EXPECT_EQ(manager.running_count(), 2u);
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+// ------------------------------------------------------ region leases --
+
+/// A width x 1 row of "BIG" tiles, one per column, with @p slots process
+/// slots each: every lease stripe looks alike.
+arch::Platform big_row(std::uint32_t width, std::uint32_t slots) {
+  arch::Platform p("big row", width, 1);
+  const TileTypeId big = p.add_tile_type("BIG", 200'000'000);
+  for (std::uint32_t x = 0; x < width; ++x) {
+    std::string name = "B";
+    name += std::to_string(x);
+    p.add_tile(name, big, x, 0, 64 * 1024, slots);
+  }
+  return p;
+}
+
+/// A non-booking spatial mapper that reports which lease stripe each plan
+/// is confined to (the one stripe whose tiles are not all saturated in the
+/// snapshot) and counts planners inside one stripe at once. Each plan
+/// lingers a little, so that concurrent planners overlap.
+class StripeWatch final : public core::Mapper {
+ public:
+  const ConcurrentRuntimeManager* manager = nullptr;
+  mutable std::atomic<int> overlaps{0};
+  mutable std::atomic<int> leased_plans{0};
+  mutable std::atomic<int> busy{0};
+  mutable std::atomic<int> max_busy{0};
+
+  [[nodiscard]] std::string name() const override { return "stripe-watch"; }
+  [[nodiscard]] std::string describe() const override {
+    return "spatial mapper that watches its lease stripe";
+  }
+
+  using Mapper::map;
+  [[nodiscard]] core::MappingResult map(
+      const kpn::Application& app,
+      const core::ResourceState& base) const override {
+    const int now_busy = ++busy;
+    int seen = max_busy.load();
+    while (now_busy > seen && !max_busy.compare_exchange_weak(seen, now_busy)) {
+    }
+    const std::optional<std::size_t> stripe = leased_stripe(base);
+    if (stripe && ++inside_[*stripe] > 1) ++overlaps;
+    if (stripe) ++leased_plans;
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    core::MappingResult result = inner_.map(app, base);
+    if (stripe) --inside_[*stripe];
+    --busy;
+    return result;
+  }
+
+ private:
+  /// Saturated tiles have no free memory; a genuinely full tile here
+  /// always keeps some.
+  std::optional<std::size_t> leased_stripe(
+      const core::ResourceState& base) const {
+    std::optional<std::size_t> open;
+    bool masked = false;
+    for (const TileId tid : base.platform().tile_ids()) {
+      if (base.memory_free(tid) == 0) {
+        masked = true;
+      } else {
+        open = manager->stripe_of(tid);
+      }
+    }
+    if (!masked || !open) return std::nullopt;
+    return open;
+  }
+
+  core::SpatialMapper inner_;
+  mutable std::array<std::atomic<int>, 8> inside_{};
+};
+
+TEST(RegionLease, TwoPlannersNeverHoldOneStripe) {
+  const auto platform = big_row(8, /*slots=*/4);
+  auto watch = std::make_shared<StripeWatch>();
+  ConcurrentRuntimeManager manager(platform, {.mapper = watch},
+                                   {.workers = 3, .queue_capacity = 64});
+  watch->manager = &manager;
+  ASSERT_EQ(manager.stripe_count(), 4u);
+  const auto app = std::make_shared<kpn::Application>(compute_app(2, 0));
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      std::vector<AppId> mine;
+      for (int i = 0; i < 12; ++i) {
+        const AdmitOutcome outcome = manager.submit(app).get();
+        if (outcome.status == AdmitStatus::Admitted) {
+          mine.push_back(outcome.app_id);
+        }
+        if (mine.size() > 2) {
+          EXPECT_TRUE(manager.release(mine.front()));
+          mine.erase(mine.begin());
+        }
+      }
+      for (const AppId id : mine) EXPECT_TRUE(manager.release(id));
+    });
+  }
+  for (auto& c : clients) c.join();
+  manager.wait_idle();
+
+  EXPECT_EQ(watch->overlaps.load(), 0) << "two planners shared a stripe";
+  EXPECT_GE(watch->max_busy.load(), 2) << "the planners never overlapped";
+  const AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.admitted, 48u);
+  EXPECT_EQ(stats.lease_admits, 48u);
+  EXPECT_EQ(static_cast<std::uint64_t>(watch->leased_plans.load()), 48u);
+  EXPECT_EQ(stats.conflicts, 0u);
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(core::ResourceState(platform)));
+}
+
+TEST(RegionLease, NonBookingMapperCommitsThroughEndValidation) {
+  const auto platform = big_row(3, /*slots=*/2);
+  auto watch = std::make_shared<StripeWatch>();
+  ConcurrentRuntimeManager manager(platform, {.mapper = watch},
+                                   {.workers = 2, .queue_capacity = 8});
+  watch->manager = &manager;
+  for (int i = 0; i < 3; ++i) {
+    const AdmitOutcome outcome = manager.admit(compute_app(2, 0));
+    ASSERT_EQ(outcome.status, AdmitStatus::Admitted) << outcome.mapping.failure;
+    EXPECT_EQ(outcome.attempts, 1u);
+  }
+  // Each plan landed in its own stripe, the least occupied, and was
+  // validated whole against the live state.
+  const AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.lease_admits, 3u);
+  EXPECT_EQ(stats.lease_fallbacks, 0u);
+  EXPECT_EQ(stats.validated_commits, 3u);
+  EXPECT_EQ(stats.gated_commits, 0u);
+  EXPECT_EQ(stats.booking_conflicts, 0u);
+  std::vector<std::size_t> stripes;
+  for (const AppId id : manager.running_ids()) {
+    const core::Mapping mapping = manager.mapping_of(id);
+    const std::size_t s = manager.stripe_of(mapping.tile_of(ProcessId{0}));
+    EXPECT_EQ(manager.stripe_of(mapping.tile_of(ProcessId{1})), s);
+    stripes.push_back(s);
+  }
+  std::sort(stripes.begin(), stripes.end());
+  EXPECT_EQ(stripes, (std::vector<std::size_t>{0, 1, 2}));
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+TEST(RegionLease, AppThatFitsNoStripeIsAdmittedThroughTheFallback) {
+  // One stripe per column of the 3x2 test mesh; no column holds three
+  // compute tiles, so a 3-stage application fits no stripe.
+  const auto platform = test::small_platform();
+  auto probe = std::make_shared<test::BookingProbe>();
+  ConcurrentRuntimeManager manager(platform, {.mapper = probe},
+                                   {.workers = 2, .queue_capacity = 8});
+  const AdmitOutcome wide = manager.admit(compute_app(3));
+  ASSERT_EQ(wide.status, AdmitStatus::Admitted) << wide.mapping.failure;
+  EXPECT_EQ(wide.attempts, 2u) << "one leased attempt, one whole-platform";
+  AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.lease_fallbacks, 1u);
+  EXPECT_EQ(stats.lease_admits, 0u);
+  EXPECT_EQ(stats.conflicts, 0u) << "a stripe too small is no conflict";
+
+  // The three tiles it spans are in three different columns.
+  const core::Mapping mapping = manager.mapping_of(wide.app_id);
+  std::vector<std::size_t> stripes;
+  for (const ProcessId pid : manager.app_of(wide.app_id)->process_ids()) {
+    stripes.push_back(manager.stripe_of(mapping.tile_of(pid)));
+  }
+  std::sort(stripes.begin(), stripes.end());
+  EXPECT_NE(stripes.front(), stripes.back());
+  expect_books_balance_and_release_all(platform, manager);
+}
+
+/// Admits one 2-stage BIG app per stripe of a big_row(3, 2) manager and
+/// expects each to be leased: a stripe whose lease leaked would be skipped,
+/// and its application would have to fall back.
+void expect_every_stripe_leasable(ConcurrentRuntimeManager& manager) {
+  const AdmissionStats before = manager.stats();
+  std::vector<AppId> ids;
+  for (std::size_t i = 0; i < manager.stripe_count(); ++i) {
+    const AdmitOutcome outcome = manager.admit(compute_app(2, 0));
+    ASSERT_EQ(outcome.status, AdmitStatus::Admitted) << outcome.mapping.failure;
+    ids.push_back(outcome.app_id);
+  }
+  const AdmissionStats after = manager.stats();
+  EXPECT_EQ(after.lease_admits - before.lease_admits, manager.stripe_count());
+  EXPECT_EQ(after.lease_fallbacks, before.lease_fallbacks);
+  for (const AppId id : ids) EXPECT_TRUE(manager.release(id));
+}
+
+TEST(RegionLease, DeadlineMissReleasesLeaseAndBooking) {
+  const auto platform = big_row(3, /*slots=*/2);
+  auto probe = std::make_shared<test::BookingProbe>();
+  ConcurrentRuntimeManager manager(platform, {.mapper = probe},
+                                   {.workers = 2, .queue_capacity = 8});
+  const AdmitOutcome missed = manager.admit(compute_app(2, 0), 1e-3);
+  EXPECT_EQ(missed.status, AdmitStatus::DeadlineMiss);
+  EXPECT_EQ(probe->books.load(), 1) << "the late plan was never booked";
+  EXPECT_EQ(manager.running_count(), 0u);
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(core::ResourceState(platform)));
+  expect_every_stripe_leasable(manager);
+}
+
+TEST(RegionLease, ExceptionReleasesLeaseAndBooking) {
+  // Both pool workers hold a booked plan. The test thread then pumps two
+  // requests itself, each in the one stripe left: the first throws while
+  // it holds the lease, the second right after its booking.
+  const auto platform = big_row(3, /*slots=*/2);
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> both_booked;
+  std::atomic<int> booked{0};
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  probe->before_book = [&](int arrival) {
+    if (arrival == 3) throw Error("mapper failure inside the lease");
+  };
+  probe->after_book = [&](int arrival) {
+    if (arrival == 4) throw Error("mapper failure after the booking");
+    if (arrival > 2) return;
+    if (++booked == 2) both_booked.set_value();
+    resumed.wait_for(std::chrono::seconds(10));
+  };
+  ConcurrentRuntimeManager manager(
+      platform, {.mapper = probe},
+      {.workers = 2, .queue_capacity = 8, .max_batch = 1});
+  const auto app = std::make_shared<kpn::Application>(compute_app(2, 0));
+  auto a = manager.submit(app);
+  auto b = manager.submit(app);
+  both_booked.get_future().wait();
+
+  auto c = manager.submit(app);
+  EXPECT_THROW(manager.pump(), Error);
+  auto d = manager.submit(app);
+  EXPECT_THROW(manager.pump(), Error);
+  // Only the workers' two bookings are live.
+  const core::ResourceState live = manager.state_snapshot();
+  std::uint32_t hosted = 0;
+  for (const TileId tid : platform.tile_ids()) {
+    hosted += live.processes_hosted(tid);
+  }
+  EXPECT_EQ(hosted, 4u);
+  EXPECT_EQ(probe->books.load(), 3);
+
+  resume.set_value();
+  ASSERT_EQ(a.get().status, AdmitStatus::Admitted);
+  ASSERT_EQ(b.get().status, AdmitStatus::Admitted);
+  EXPECT_THROW(c.get(), std::future_error);
+  EXPECT_THROW(d.get(), std::future_error);
+  for (const AppId id : manager.running_ids()) EXPECT_TRUE(manager.release(id));
+  expect_every_stripe_leasable(manager);
+}
+
+TEST(RegionLease, ShutdownReleasesLeaseAndBooking) {
+  // A plan waits inside its lease, before its booking, while the manager
+  // shuts down; a second waits after its booking. Both resolve, and the
+  // books hold exactly the survivors.
+  const auto platform = big_row(3, /*slots=*/2);
+  auto probe = std::make_shared<test::BookingProbe>();
+  std::promise<void> both_waiting;
+  std::atomic<int> waiting{0};
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  auto hold = [&] {
+    if (++waiting == 2) both_waiting.set_value();
+    resumed.wait_for(std::chrono::seconds(10));
+  };
+  probe->before_book = [&](int arrival) {
+    if (arrival == 1) hold();
+  };
+  probe->after_book = [&](int arrival) {
+    if (arrival == 2) hold();
+  };
+  ConcurrentRuntimeManager manager(
+      platform, {.mapper = probe},
+      {.workers = 2, .queue_capacity = 8, .max_batch = 1});
+  const auto app = std::make_shared<kpn::Application>(compute_app(2, 0));
+  auto a = manager.submit(app);
+  auto b = manager.submit(app);
+  both_waiting.get_future().wait();
+  auto queued = manager.submit(app);
+
+  std::thread closer([&] { manager.shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  resume.set_value();
+  closer.join();
+
+  EXPECT_EQ(a.get().status, AdmitStatus::Admitted);
+  EXPECT_EQ(b.get().status, AdmitStatus::Admitted);
+  EXPECT_NE(queued.get().status, AdmitStatus::Waiting);
+  const AdmissionStats stats = manager.stats();
+  EXPECT_GE(stats.lease_admits, 2u);
   expect_books_balance_and_release_all(platform, manager);
 }
 

@@ -49,16 +49,43 @@ TEST(Expansion, CreatesProcessAndRouterActors) {
   f.place_and_route(app, state, mapping);
   const ExpandedGraph expanded = expand_mapping(app, f.platform, mapping);
 
-  // Process actors: one per process.
+  // Process actors: one per process. Router actors: one per router on a
+  // path of up to two routers, else the two end routers, joined by one
+  // "/hops" edge holding the H-1 hop buffers and the H-2 middle router
+  // latencies.
   EXPECT_EQ(expanded.process_actor.size(), app.process_count());
+  const std::uint32_t b = f.platform.noc().hop_buffer_tokens;
+  const std::uint64_t r = f.platform.noc().router_latency_ps();
   std::size_t hop_actors = 0;
+  std::size_t collapsed = 0;
   for (const ChannelId cid : app.channel_ids()) {
     const auto& path = *mapping.path(cid);
     const std::size_t routers = path.routers(f.platform).size();
-    EXPECT_EQ(expanded.hop_actors[cid.value()].size(), routers);
-    hop_actors += routers;
+    const auto& hops = expanded.hop_actors[cid.value()];
+    ASSERT_EQ(hops.size(), std::min<std::size_t>(routers, 2));
+    hop_actors += hops.size();
+    if (routers < 3) continue;
+    ++collapsed;
+    const std::string name = app.channel(cid).name + "/hops";
+    std::size_t found = 0;
+    for (const EdgeId e : expanded.graph.edge_ids()) {
+      const csdf::Edge& edge = expanded.graph.edge(e);
+      if (edge.name != name) continue;
+      ++found;
+      EXPECT_EQ(edge.src, hops[0]);
+      EXPECT_EQ(edge.dst, hops[1]);
+      EXPECT_EQ(edge.capacity, (routers - 1) * b);
+      EXPECT_EQ(edge.latency_ps, (routers - 2) * r);
+    }
+    EXPECT_EQ(found, 1u) << name;
   }
+  EXPECT_GT(collapsed, 0u);
   EXPECT_EQ(expanded.graph.actor_count(), app.process_count() + hop_actors);
+  // Per channel: inject and eject edges, plus the hop edge between two
+  // router actors.
+  std::size_t edges = 0;
+  for (const auto& hops : expanded.hop_actors) edges += hops.size() + 1;
+  EXPECT_EQ(expanded.graph.edge_count(), edges);
 }
 
 TEST(Expansion, GraphIsConsistent) {

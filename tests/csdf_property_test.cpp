@@ -21,7 +21,9 @@ Graph random_chain(Rng& rng, std::size_t actors, std::vector<EdgeId>* edges) {
     for (std::size_t k = 0; k < phases; ++k) {
       wcet.push_back(static_cast<std::uint64_t>(rng.uniform_int(10, 300)));
     }
-    ids.push_back(g.add_actor("a" + std::to_string(i), std::move(wcet)));
+    std::string name = "a";
+    name += std::to_string(i);
+    ids.push_back(g.add_actor(std::move(name), std::move(wcet)));
   }
   for (std::size_t i = 0; i + 1 < actors; ++i) {
     const Actor& src = g.actor(ids[i]);
@@ -38,7 +40,8 @@ Graph random_chain(Rng& rng, std::size_t actors, std::vector<EdgeId>* edges) {
       return r;
     };
     Edge e;
-    e.name = "e" + std::to_string(i);
+    e.name = "e";
+    e.name += std::to_string(i);
     e.src = ids[i];
     e.dst = ids[i + 1];
     e.production = rates(src.phase_count(), 4);

@@ -5,6 +5,8 @@
 // actors, zero-WCET phases, bounded and unbounded edges, cycles with and
 // without enough initial tokens, fixed and adaptive windows, warm-up 0,
 // event limits and latency probes whose sink equals or lags the reference.
+// A second leg gives random edges a latency (Edge::latency_ps); the
+// reference keeps each delivery in transit as a pending event of its own.
 // Every SimulationResult field must match; events_skipped is the only one
 // the reference does not have.
 
@@ -16,6 +18,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -52,6 +55,7 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
   std::vector<std::uint64_t> cycles(n, 0);
   std::vector<std::uint64_t> tokens(num_edges);
   std::vector<std::uint64_t> reserved(num_edges, 0);
+  std::vector<std::uint64_t> in_transit(num_edges, 0);
   for (std::size_t e = 0; e < num_edges; ++e) tokens[e] = edge(e).initial_tokens;
 
   const std::uint32_t w = config.warmup_iterations;
@@ -65,8 +69,11 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
     sink_end.assign(total + 2, 0);
   }
 
-  using Firing = std::pair<std::uint64_t, std::uint32_t>;  // (end, actor)
-  std::priority_queue<Firing, std::vector<Firing>, std::greater<>> in_flight;
+  // (time, key, tokens): key a < n is the end of actor a's firing, key
+  // n + e a delivery of tokens on latency edge e. Firings come first among
+  // equal times.
+  using Event = std::tuple<std::uint64_t, std::size_t, std::uint64_t>;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> in_flight;
   SimulationResult result;
   std::uint64_t now = 0;
 
@@ -82,7 +89,8 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
   auto blocked_output = [&](std::size_t a) -> std::optional<std::size_t> {
     for (std::size_t e = 0; e < num_edges; ++e) {
       if (edge(e).src.value() == a && edge(e).capacity &&
-          tokens[e] + reserved[e] + edge(e).production[phase[a]] >
+          tokens[e] + reserved[e] + in_transit[e] +
+                  edge(e).production[phase[a]] >
               *edge(e).capacity) {
         return e;
       }
@@ -107,8 +115,7 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
           if (iter < src_start.size()) src_start[iter] = now;
         }
         busy[a] = true;
-        in_flight.emplace(now + actor(a).wcet_ps[k],
-                          static_cast<std::uint32_t>(a));
+        in_flight.emplace(now + actor(a).wcet_ps[k], a, 0);
         started = true;
       }
     }
@@ -143,15 +150,27 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
       result.end_time_ps = now;
       return result;
     }
-    const auto [end, a] = in_flight.top();
+    const auto [end, a, delivered] = in_flight.top();
     in_flight.pop();
     now = end;
+    if (a >= n) {
+      in_transit[a - n] -= delivered;
+      tokens[a - n] += delivered;
+      start_all();
+      continue;
+    }
     ++result.events;
     const std::uint32_t k = phase[a];
     for (std::size_t e = 0; e < num_edges; ++e) {
       if (edge(e).src.value() != a) continue;
-      reserved[e] -= edge(e).production[k];
-      tokens[e] += edge(e).production[k];
+      const std::uint32_t produced = edge(e).production[k];
+      reserved[e] -= produced;
+      if (edge(e).latency_ps == 0) {
+        tokens[e] += produced;
+      } else if (produced > 0) {
+        in_transit[e] += produced;
+        in_flight.emplace(now + edge(e).latency_ps, n + e, produced);
+      }
     }
     busy[a] = false;
     phase[a] = (k + 1) % actor(a).phase_count();
@@ -228,8 +247,8 @@ void expect_same(const SimulationResult& got, const SimulationResult& want,
   EXPECT_LE(got.events_skipped, got.events) << where;
 }
 
-TEST(SimulatorDifferential, MatchesFiringByFiringReference) {
-  Rng rng(0x5eed1234);
+/// Regimes a differential leg ran through.
+struct LegCounts {
   std::size_t runs = 0;
   std::size_t skipped = 0;
   std::size_t deadlocks = 0;
@@ -237,10 +256,18 @@ TEST(SimulatorDifferential, MatchesFiringByFiringReference) {
   std::size_t adaptive = 0;
   std::size_t latencies = 0;
   std::size_t downstream_sinks = 0;
-  while (runs < 3000) {
-    const Graph g = random_graph(rng);
+};
+
+/// Compares simulate() with the reference on @p runs random graphs drawn
+/// from @p rng, each passed through @p transform first.
+LegCounts run_leg(Rng& rng, std::size_t runs,
+                  const std::function<Graph(Graph, Rng&)>& transform) {
+  LegCounts c;
+  while (c.runs < runs) {
+    const Graph g = transform(random_graph(rng), rng);
     const auto rv = repetition_vector(g);
-    ASSERT_TRUE(rv) << "generator built an inconsistent graph";
+    EXPECT_TRUE(rv) << "generator built an inconsistent graph";
+    if (!rv) return c;
     const ActorId ref{static_cast<ActorId::value_type>(
         rng.pick_index(g.actor_count()))};
     const SimulationConfig cfg = random_config(rng);
@@ -253,26 +280,63 @@ TEST(SimulatorDifferential, MatchesFiringByFiringReference) {
                                : ActorId{static_cast<ActorId::value_type>(
                                      rng.pick_index(g.actor_count()))};
       probe = LatencyProbe{src, sink};
-      if (sink.value() > ref.value()) ++downstream_sinks;
+      if (sink.value() > ref.value()) ++c.downstream_sinks;
     }
     const SimulationResult want = reference_simulate(g, *rv, ref, cfg, probe);
     const SimulationResult got = simulate(g, *rv, ref, cfg, probe);
-    expect_same(got, want, numbered('#', runs));
-    if (::testing::Test::HasFailure()) return;
-    ++runs;
-    skipped += got.events_skipped > 0 ? 1 : 0;
-    deadlocks += want.status == SimulationStatus::Deadlock ? 1 : 0;
-    limits += want.status == SimulationStatus::EventLimit ? 1 : 0;
-    adaptive += cfg.adaptive() ? 1 : 0;
-    latencies += want.latency_ps > 0 ? 1 : 0;
+    expect_same(got, want, numbered('#', c.runs));
+    if (::testing::Test::HasFailure()) return c;
+    ++c.runs;
+    c.skipped += got.events_skipped > 0 ? 1 : 0;
+    c.deadlocks += want.status == SimulationStatus::Deadlock ? 1 : 0;
+    c.limits += want.status == SimulationStatus::EventLimit ? 1 : 0;
+    c.adaptive += cfg.adaptive() ? 1 : 0;
+    c.latencies += want.latency_ps > 0 ? 1 : 0;
   }
+  return c;
+}
+
+TEST(SimulatorDifferential, MatchesFiringByFiringReference) {
+  Rng rng(0x5eed1234);
+  const LegCounts c =
+      run_leg(rng, 3000, [](Graph g, Rng&) { return g; });
+  if (::testing::Test::HasFailure()) return;
   // Every regime the generator aims at shows up in numbers.
-  EXPECT_GT(skipped, runs / 4);
-  EXPECT_GT(deadlocks, 50u);
-  EXPECT_GT(limits, 50u);
-  EXPECT_GT(adaptive, 50u);
-  EXPECT_GT(latencies, 300u);
-  EXPECT_GT(downstream_sinks, 100u);
+  EXPECT_GT(c.skipped, c.runs / 4);
+  EXPECT_GT(c.deadlocks, 50u);
+  EXPECT_GT(c.limits, 50u);
+  EXPECT_GT(c.adaptive, 50u);
+  EXPECT_GT(c.latencies, 300u);
+  EXPECT_GT(c.downstream_sinks, 100u);
+}
+
+/// @p g with a random latency on about half of its edges.
+Graph with_latencies(const Graph& g, Rng& rng) {
+  Graph out;
+  for (const ActorId a : g.actor_ids()) {
+    out.add_actor(g.actor(a).name, g.actor(a).wcet_ps);
+  }
+  for (const EdgeId e : g.edge_ids()) {
+    Edge edge = g.edge(e);
+    if (rng.bernoulli(0.5)) {
+      edge.latency_ps = static_cast<std::uint64_t>(rng.uniform_int(1, 200));
+    }
+    out.add_edge(std::move(edge));
+  }
+  return out;
+}
+
+TEST(SimulatorDifferential, LatencyEdgesMatchFiringByFiringReference) {
+  Rng rng(0x1a7e9c1e);
+  const LegCounts c = run_leg(rng, 2000, [](Graph g, Rng& r) {
+    return with_latencies(g, r);
+  });
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_GT(c.skipped, c.runs / 4);
+  EXPECT_GT(c.deadlocks, 30u);
+  EXPECT_GT(c.limits, 30u);
+  EXPECT_GT(c.adaptive, 30u);
+  EXPECT_GT(c.latencies, 200u);
 }
 
 }  // namespace

@@ -415,5 +415,105 @@ TEST(SimulatorGolden, PlainPipeline) {
   EXPECT_EQ(sim.events_skipped, 42u);
 }
 
+// P(10) -> C(30) over an edge of capacity 2 whose tokens arrive 25 ps after
+// P's firing ends. By hand: P fires at 0 and 10 (due 35 and 45), then waits
+// for space. Each C start frees a slot: P starts at 35, 65, 95, ... (due
+// 70, 100, 130, ...), and C, fed from then on, ends at 65 + 30 i.
+Graph delayed_pipeline() {
+  Graph g;
+  const ActorId p = g.add_actor("P", {10});
+  const ActorId c = g.add_actor("C", {30});
+  Edge e = make_edge("e", p, c, {1}, {1}, 2);
+  e.latency_ps = 25;
+  g.add_edge(std::move(e));
+  return g;
+}
+
+TEST(SimulatorLatencyEdge, HandComputedSchedule) {
+  const Graph g = delayed_pipeline();
+  const ActorId p{0};
+  const ActorId c{1};
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 2;
+  cfg.measured_iterations = 4;
+  const auto sim = simulate(g, *rv, c, cfg, LatencyProbe{p, c});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  // C ends at 65, 95, 125, 155, 185, 215.
+  EXPECT_EQ(sim.period_ps, 30u);
+  EXPECT_EQ(sim.max_period_ps, 30u);
+  EXPECT_EQ(sim.end_time_ps, 215u);
+  // Iteration i >= 2: P starts at 35 + 30 (i - 2), C ends 90 ps later.
+  EXPECT_EQ(sim.latency_ps, 90u);
+  // Firings only: P ends at 10, 20 and 45 + 30 j for j < 6; C ends 6
+  // times. The six deliveries are not counted.
+  EXPECT_EQ(sim.events, 14u);
+}
+
+TEST(SimulatorLatencyEdge, FastForwardWithDeliveriesPendingIsExact) {
+  // At every C completion a token is in transit, so each snapshot the
+  // fast-forward compares holds a pending delivery. The skipped run must
+  // end exactly where the firing-by-firing schedule above does:
+  // C's iteration i ends at 65 + 30 i, and 2 + 2 n firings end by then.
+  const Graph g = delayed_pipeline();
+  const auto rv = repetition_vector(g);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 8;
+  cfg.measured_iterations = 1000;
+  const auto sim =
+      simulate(g, *rv, ActorId{1}, cfg, LatencyProbe{ActorId{0}, ActorId{1}});
+  ASSERT_EQ(sim.status, SimulationStatus::Completed);
+  EXPECT_GT(sim.events_skipped, 1000u);
+  EXPECT_EQ(sim.period_ps, 30u);
+  EXPECT_EQ(sim.max_period_ps, 30u);
+  EXPECT_EQ(sim.latency_ps, 90u);
+  EXPECT_EQ(sim.end_time_ps, 65u + 30u * 1007u);
+  EXPECT_EQ(sim.events, 2u + 2u * 1008u);
+}
+
+TEST(SimulatorLatencyEdge, TokensInTransitAreNotADeadlock) {
+  // P fills the single slot at 10 and nothing fires until the delivery at
+  // 1010: a pending delivery keeps the run alive.
+  Graph g;
+  const ActorId p = g.add_actor("P", {10});
+  const ActorId c = g.add_actor("C", {5});
+  Edge e = make_edge("e", p, c, {1}, {1}, 1);
+  e.latency_ps = 1000;
+  g.add_edge(std::move(e));
+  const auto rv = repetition_vector(g);
+  SimulationConfig cfg;
+  cfg.warmup_iterations = 1;
+  cfg.measured_iterations = 3;
+  const auto sim = simulate(g, *rv, c, cfg);
+  ASSERT_EQ(sim.status, SimulationStatus::Completed) << sim.message;
+  // P restarts when C consumes at 1010 + 1010 k; C ends 5 ps later.
+  EXPECT_EQ(sim.period_ps, 1010u);
+  EXPECT_EQ(sim.end_time_ps, 1015u + 3u * 1010u);
+}
+
+TEST(SimulatorLatencyEdge, CycleWithoutTokensStillDeadlocks) {
+  Graph g;
+  const ActorId a = g.add_actor("a", {10});
+  const ActorId b = g.add_actor("b", {10});
+  Edge ab = make_edge("ab", a, b, {1}, {1});
+  ab.latency_ps = 50;
+  g.add_edge(std::move(ab));
+  g.add_edge(make_edge("ba", b, a, {1}, {1}, std::nullopt, 1));
+  Edge bb = make_edge("bb", b, b, {1}, {1}, 1);
+  bb.latency_ps = 7;
+  g.add_edge(std::move(bb));  // b's self-loop starts empty
+  const auto rv = repetition_vector(g);
+  ASSERT_TRUE(rv);
+  // a fires once (0..10); its token reaches b at 60, but b also needs a
+  // token on its empty self-loop, which only b can produce.
+  const auto sim = simulate(g, *rv, a);
+  EXPECT_EQ(sim.status, SimulationStatus::Deadlock);
+  EXPECT_EQ(sim.end_time_ps, 60u);
+  EXPECT_EQ(sim.events, 1u);
+  EXPECT_EQ(sim.message,
+            "deadlock; blocked actors: a(needs 1 on 'ba') b(needs 1 on 'bb')");
+}
+
 }  // namespace
 }  // namespace rtsm::csdf

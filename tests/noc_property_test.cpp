@@ -17,7 +17,11 @@ arch::Platform random_mesh(Rng& rng) {
   const TileTypeId t = p.add_tile_type("T");
   for (std::uint32_t y = 0; y < h; ++y) {
     for (std::uint32_t x = 0; x < w; ++x) {
-      p.add_tile("t" + std::to_string(x) + "_" + std::to_string(y), t, x, y);
+      std::string name = "t";
+      name += std::to_string(x);
+      name += '_';
+      name += std::to_string(y);
+      p.add_tile(name, t, x, y);
     }
   }
   return p;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/platform.hpp"
 #include "noc/link_load.hpp"
 #include "noc/route.hpp"
@@ -15,12 +17,18 @@ struct Fixture {
     const TileTypeId t = platform.add_tile_type("T");
     for (std::uint32_t y = 0; y < 3; ++y) {
       for (std::uint32_t x = 0; x < 3; ++x) {
-        platform.add_tile("t" + std::to_string(x) + std::to_string(y), t, x, y);
+        platform.add_tile(name(x, y), t, x, y);
       }
     }
   }
+  static std::string name(std::uint32_t x, std::uint32_t y) {
+    std::string name = "t";
+    name += std::to_string(x);
+    name += std::to_string(y);
+    return name;
+  }
   TileId tile(std::uint32_t x, std::uint32_t y) const {
-    return platform.tile_by_name("t" + std::to_string(x) + std::to_string(y));
+    return platform.tile_by_name(name(x, y));
   }
 };
 

@@ -46,7 +46,9 @@ kpn::Application pe_chain(std::uint32_t stages, const std::string& name,
   kpn::Application app(name, qos);
   std::vector<ProcessId> procs;
   for (std::uint32_t i = 0; i < stages; ++i) {
-    procs.push_back(app.add_process("S" + std::to_string(i)));
+    std::string name = "S";
+    name += std::to_string(i);
+    procs.push_back(app.add_process(name));
   }
   std::vector<ChannelId> chain;
   for (std::uint32_t i = 0; i + 1 < stages; ++i) {
@@ -402,9 +404,10 @@ TEST(ConcurrentManagerShapes, SharedLibraryStress) {
   auto shapes = std::make_shared<ShapeLibrary>(platform);
   runtime::ConcurrentOptions opts;
   opts.workers = 8;
-  opts.shards = 2;
   runtime::ConcurrentRuntimeManager manager(
       platform, {.mapper = paper_mapper(), .shapes = shapes}, opts);
+  // More planners than the 6 columns give stripes: some find none free.
+  ASSERT_EQ(manager.stripe_count(), 6u);
   const auto app = std::make_shared<kpn::Application>(pe_chain(3, "stress"));
 
   std::uint64_t admitted_seen = 0;
@@ -429,6 +432,8 @@ TEST(ConcurrentManagerShapes, SharedLibraryStress) {
   EXPECT_GT(stats.admitted, 0u);
   EXPECT_GT(stats.shape_hits, 0u) << "library never served a hit under load";
   EXPECT_LE(stats.shape_hits, stats.admitted);
+  EXPECT_GT(stats.lease_admits, 0u) << "no shape miss was planned in a lease";
+  EXPECT_LE(stats.shape_hits + stats.lease_admits, stats.admitted);
   EXPECT_EQ(stats.shape_inserts, shapes->stats().inserts);
   EXPECT_GT(stats.snapshot_reuses, 0u);
   EXPECT_EQ(manager.running_count(), 0u);

@@ -55,7 +55,9 @@ inline kpn::Application pipeline_app(const PipelineSpec& spec) {
 
   std::vector<ProcessId> stages;
   for (std::uint32_t i = 0; i < spec.stages; ++i) {
-    stages.push_back(app.add_process("S" + std::to_string(i)));
+    std::string name = "S";
+    name += std::to_string(i);
+    stages.push_back(app.add_process(name));
   }
   std::optional<ProcessId> src;
   std::optional<ProcessId> dst;
