@@ -1078,13 +1078,21 @@ class StripeWatch final : public core::Mapper {
 };
 
 TEST(RegionLease, TwoPlannersNeverHoldOneStripe) {
-  const auto platform = big_row(8, /*slots=*/4);
+  // Stripes of two 8-slot tiles and 5%-utilization stages: even the
+  // fullest stripe a planner can be left with has room, so every request
+  // is admitted inside its lease.
+  const auto platform = big_row(8, /*slots=*/8);
   auto watch = std::make_shared<StripeWatch>();
   ConcurrentRuntimeManager manager(platform, {.mapper = watch},
                                    {.workers = 3, .queue_capacity = 64});
   watch->manager = &manager;
   ASSERT_EQ(manager.stripe_count(), 4u);
-  const auto app = std::make_shared<kpn::Application>(compute_app(2, 0));
+  test::PipelineSpec light;
+  light.stages = 2;
+  light.big_wcet_cc = 40;
+  light.little_wcet_cc = 0;
+  light.with_fixtures = false;
+  const auto app = std::make_shared<kpn::Application>(test::pipeline_app(light));
 
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {
