@@ -2,10 +2,10 @@
 // the HIPERLAN/2 mapping in under 4 ms on an ARM926 at 100 MHz — and
 // measures the step-4 verification engine on top of it: the full four-step
 // mapping, steps 1-3 in isolation, and the dominant step-4 dataflow check
-// cold (no cache) vs. warm (signature cache + warm-started sizing), plus
-// the adaptive simulation window. Absolute numbers differ from the paper
-// by the hardware gap; the claims that hold are the *shape* (the mapper is
-// cheap enough to run at application start time) and the cold/warm ratio.
+// cold (no cache) vs. warm (signature cache + warm-started sizing).
+// Absolute numbers differ from the paper by the hardware gap; the claims
+// that hold are the *shape* (the mapper is cheap enough to run at
+// application start time) and the cold/warm ratio.
 //
 // The warm/cold section replays the HiperLAN/2 refinement scenario: the
 // same receiver is admitted, released and re-admitted over and over — the
@@ -225,27 +225,6 @@ int main(int argc, char** argv) {
         churn_warm_ms > 0.0 ? churn_cold_ms / churn_warm_ms : 0.0);
   }
 
-  // -- adaptive simulation window ----------------------------------------
-  verify::SizingKey adaptive_key = key;
-  adaptive_key.simulation.convergence_window = 3;
-  adaptive_key.simulation.convergence_epsilon = 0.01;
-  const auto adaptive_outcome =
-      verify::compute_verification(c.app, c.platform, placed, adaptive_key);
-  const double events_saved_pct =
-      cold_outcome.events_simulated > 0
-          ? 100.0 *
-                (1.0 - static_cast<double>(adaptive_outcome.events_simulated) /
-                           static_cast<double>(cold_outcome.events_simulated))
-          : 0.0;
-  std::printf(
-      "Adaptive window (eps 1%%, K=3): %llu events vs %llu fixed "
-      "(%.0f%% saved), period %llu ps vs %llu ps\n\n",
-      static_cast<unsigned long long>(adaptive_outcome.events_simulated),
-      static_cast<unsigned long long>(cold_outcome.events_simulated),
-      events_saved_pct,
-      static_cast<unsigned long long>(adaptive_outcome.achieved_period_ps),
-      static_cast<unsigned long long>(cold_outcome.achieved_period_ps));
-
   // -- larger synthetic instance, full mapping ---------------------------
   {
     Rng rng(7);
@@ -294,17 +273,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(es.events_saved),
                signature_words);
   std::fprintf(f,
-               "  \"adaptive_window\": {\"fixed_events\": %llu, "
-               "\"adaptive_events\": %llu, \"events_saved_pct\": %.1f, "
-               "\"fixed_period_ps\": %llu, \"adaptive_period_ps\": %llu},\n",
-               static_cast<unsigned long long>(cold_outcome.events_simulated),
-               static_cast<unsigned long long>(
-                   adaptive_outcome.events_simulated),
-               events_saved_pct,
-               static_cast<unsigned long long>(cold_outcome.achieved_period_ps),
-               static_cast<unsigned long long>(
-                   adaptive_outcome.achieved_period_ps));
-  std::fprintf(f,
                "  \"admission_churn\": {\"uncached_ms\": %.2f, "
                "\"cached_ms\": %.2f, \"speedup\": %.2f, "
                "\"stats_report\": %s}\n}\n",
@@ -318,8 +286,6 @@ int main(int argc, char** argv) {
       "Reading: the combinatorial part of the mapper (steps 1-3) is cheap;\n"
       "step 4's dataflow verification dominates. The verification engine\n"
       "serves repeated structural mappings from its cache, so steady-state\n"
-      "admission churn pays near-zero verification cost, and the adaptive\n"
-      "window bounds the simulated events when a cold verification is\n"
-      "unavoidable.\n");
+      "admission churn pays near-zero verification cost.\n");
   return 0;
 }

@@ -148,7 +148,7 @@ BurstFigures run_serial_burst(
 
   for (const AppId id : manager.running_ids()) manager.release(id);
   figures.restore_ok =
-      manager.state().approx_equals(core::ResourceState(platform));
+      manager.state() == core::ResourceState(platform);
   figures.verify = manager.verification_stats();
   figures.stats_json = manager.stats_report().to_json();
   return figures;
@@ -199,12 +199,12 @@ BurstFigures run_concurrent_burst(
   for (const AppId id : manager.running_ids()) {
     core::commit_mapping(replayed, *manager.app_of(id), manager.mapping_of(id));
   }
-  figures.replay_ok = manager.state_snapshot().approx_equals(replayed);
+  figures.replay_ok = manager.state_snapshot() == replayed;
 
   // Exactness check 2: releasing everything restores the pristine state.
   for (const AppId id : manager.running_ids()) manager.release(id);
   figures.restore_ok =
-      manager.state_snapshot().approx_equals(core::ResourceState(platform));
+      manager.state_snapshot() == core::ResourceState(platform);
   figures.verify = manager.verification_stats();
   figures.stats_json = manager.stats_report().to_json();
   return figures;
@@ -395,13 +395,13 @@ int main(int argc, char** argv) {
     const core::ResourceState before = manager.state().snapshot();
     const auto admitted = manager.admit(app);
     const bool ok = admitted.status == runtime::AdmitStatus::Admitted;
-    const bool changed = !manager.state().approx_equals(before);
+    const bool changed = manager.state() != before;
     if (ok) manager.release(admitted.app_id);
     std::printf(
         "Restore proof (HIPERLAN/2 on the paper platform): admitted=%s, "
         "state changed on admit=%s, state restored on release=%s\n\n",
         ok ? "yes" : "no", changed ? "yes" : "NO (bug)",
-        ok && manager.state().approx_equals(before) ? "yes" : "NO (bug)");
+        ok && manager.state() == before ? "yes" : "NO (bug)");
   }
 
   // Arrival burst, serial vs. concurrent: the same burst through the FIFO

@@ -12,7 +12,7 @@
 //
 // Exactness oracle: after every wave — hence after every defrag pass —
 // replaying the surviving admissions onto a fresh ResourceState must
-// reproduce the manager's live state (approx_equals).
+// reproduce the manager's live state exactly (==).
 //
 // Results are emitted as BENCH_x6.json for the CI perf trail.
 //
@@ -227,7 +227,7 @@ ChurnFigures run_churn(const arch::Platform& platform,
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
+    if (manager.state() != replayed) figures.oracle_ok = false;
 
     frag_sum += core::measure_fragmentation(manager.state()).score();
   }

@@ -219,7 +219,7 @@ ShapeFigures run_churn(
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
+    if (manager.state() != replayed) figures.oracle_ok = false;
   }
 
   const runtime::AdmissionStats stats = manager.stats();

@@ -219,7 +219,7 @@ PortfolioFigures run_serial(
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
+    if (manager.state() != replayed) figures.oracle_ok = false;
   }
 
   finish_figures(figures, manager.stats(), latencies, energy_sum);
@@ -276,7 +276,7 @@ PortfolioFigures run_concurrent(
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state_snapshot().approx_equals(replayed)) {
+    if (manager.state_snapshot() != replayed) {
       figures.oracle_ok = false;
     }
   }

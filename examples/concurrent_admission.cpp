@@ -77,7 +77,7 @@ int main() {
   std::printf("== everything stops: releases restore the platform ==========\n");
   for (const AppId id : manager.running_ids()) manager.release(id);
   const bool pristine =
-      manager.state_snapshot().approx_equals(core::ResourceState(platform));
+      manager.state_snapshot() == core::ResourceState(platform);
   std::printf("  running=%zu, state restored=%s\n\n", manager.running_count(),
               pristine ? "yes" : "NO (bug)");
 

@@ -1,7 +1,5 @@
 #include "audit/check_state.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -12,16 +10,6 @@
 namespace rtsm::audit {
 
 namespace {
-
-/// Mirrors ResourceState::approx_equals: float sums (utilisation, link
-/// rates) are compared within a relative tolerance because their rounding
-/// depends on commit order; everything integral must match exactly.
-constexpr double kRelEps = 1e-9;
-
-bool close(double a, double b) {
-  const double scale = std::max({1.0, std::abs(a), std::abs(b)});
-  return std::abs(a - b) <= kRelEps * scale;
-}
 
 void add_issue(CheckResult& result, const std::string& where,
                std::string detail) {
@@ -39,7 +27,8 @@ CheckResult check_state(const core::ResourceState& live,
 
   // Rebuild the books from first principles: an empty state plus one
   // commit per live application, through the same mutators the managers
-  // use. Only the summation order can differ from the live history.
+  // use. The books are exact integers, so the summation order of the live
+  // history cannot show: any difference is drift.
   core::ResourceState replayed(platform);
   for (const LiveApp& run : running) {
     if (run.app == nullptr || run.mapping == nullptr) {
@@ -60,29 +49,24 @@ CheckResult check_state(const core::ResourceState& live,
     }
   }
 
+  // One issue per quantity that differs (utilisation, load: fixed point).
+  const auto compare = [&](const char* entity, std::uint32_t i,
+                           const char* quantity, std::uint64_t live_value,
+                           std::uint64_t replay_value) {
+    if (live_value == replay_value) return;
+    add_issue(result, where,
+              std::string(entity) + " " + std::to_string(i) + " " +
+                  quantity + " drift: live " + std::to_string(live_value) +
+                  " vs replayed " + std::to_string(replay_value));
+  };
   for (std::uint32_t i = 0; i < platform.tile_count(); ++i) {
     const TileId tile{i};
-    const double live_util = live.utilization(tile);
-    const double replay_util = replayed.utilization(tile);
-    if (!close(live_util, replay_util)) {
-      add_issue(result, where,
-                "tile " + std::to_string(i) + " utilisation drift: live " +
-                    std::to_string(live_util) + " vs replayed " +
-                    std::to_string(replay_util));
-    }
-    if (live_util < -core::ResourceState::kUtilSlack ||
-        live_util > 1.0 + core::ResourceState::kUtilSlack) {
-      add_issue(result, where,
-                "tile " + std::to_string(i) + " utilisation " +
-                    std::to_string(live_util) + " outside [0, 1]");
-    }
-    if (live.memory_used(tile) != replayed.memory_used(tile)) {
-      add_issue(result, where,
-                "tile " + std::to_string(i) + " memory drift: live " +
-                    std::to_string(live.memory_used(tile)) +
-                    " vs replayed " +
-                    std::to_string(replayed.memory_used(tile)));
-    }
+    compare("tile", i, "utilisation", live.utilization_units(tile),
+            replayed.utilization_units(tile));
+    compare("tile", i, "memory", live.memory_used(tile),
+            replayed.memory_used(tile));
+    compare("tile", i, "process-count", live.processes_hosted(tile),
+            replayed.processes_hosted(tile));
     if (live.memory_used(tile) > platform.tile(tile).memory_bytes) {
       add_issue(result, where,
                 "tile " + std::to_string(i) + " books " +
@@ -90,25 +74,10 @@ CheckResult check_state(const core::ResourceState& live,
                     " bytes beyond its capacity " +
                     std::to_string(platform.tile(tile).memory_bytes));
     }
-    if (live.processes_hosted(tile) != replayed.processes_hosted(tile)) {
-      add_issue(result, where,
-                "tile " + std::to_string(i) + " process-count drift: live " +
-                    std::to_string(live.processes_hosted(tile)) +
-                    " vs replayed " +
-                    std::to_string(replayed.processes_hosted(tile)));
-    }
   }
-
   for (std::uint32_t i = 0; i < platform.link_count(); ++i) {
-    const LinkId link{i};
-    const double live_rate = live.links().reserved(link);
-    const double replay_rate = replayed.links().reserved(link);
-    if (!close(live_rate, replay_rate)) {
-      add_issue(result, where,
-                "link " + std::to_string(i) + " load drift: live " +
-                    std::to_string(live_rate) + " vs replayed " +
-                    std::to_string(replay_rate));
-    }
+    compare("link", i, "load", live.links().reserved_units(LinkId{i}),
+            replayed.links().reserved_units(LinkId{i}));
   }
 
   // Journal-window consistency: the ring holds the entries taking the

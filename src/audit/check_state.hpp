@@ -30,11 +30,10 @@ struct CheckResult {
 /// process slots and per-link load — by committing every app in
 /// @p running into a fresh ResourceState over the same platform, through
 /// the very mutators the incremental accounting uses. Compares the replay
-/// against @p live: utilisation and link load within a relative 1e-9
-/// (float sums are order-dependent across concurrent histories), memory
-/// and process counts exactly. Also checks the journal window invariant
-/// (the ring covers at most journal-capacity trailing versions) and that
-/// no tile is booked outside [0, 1] utilisation or beyond its memory.
+/// against @p live exactly, quantity by quantity (the books are integers,
+/// so the commit order cannot show). Also checks the journal window
+/// invariant (the ring covers at most journal-capacity trailing versions)
+/// and that no tile is booked beyond its memory.
 /// @p where tags the calling boundary ("commit", "release", ...) in the
 /// issue messages.
 [[nodiscard]] CheckResult check_state(const core::ResourceState& live,

@@ -23,7 +23,7 @@ double memory_fraction(const ResourceState& state, TileId tile) {
 bool is_free_tile(const ResourceState& state, TileId tile,
                   const FragmentationOptions& options) {
   return state.processes_hosted(tile) == 0 &&
-         state.utilization(tile) <= options.free_utilization_max &&
+         state.utilization_units(tile) == 0 &&
          memory_fraction(state, tile) <= options.free_memory_fraction_max;
 }
 
@@ -34,9 +34,8 @@ double tile_occupancy(const ResourceState& state, TileId tile) {
           ? 1.0
           : static_cast<double>(state.processes_hosted(tile)) /
                 static_cast<double>(t.process_slots);
-  const double occ = std::max(
+  return std::max(
       {state.utilization(tile), memory_fraction(state, tile), slot_fraction});
-  return std::clamp(occ, 0.0, 1.0);
 }
 
 double mean_occupancy(const ResourceState& state) {

@@ -8,12 +8,11 @@ namespace rtsm::core {
 
 /// Tuning of the fragmentation measurement.
 struct FragmentationOptions {
-  /// A tile belongs to a *free region* when it hosts no process and its
-  /// committed utilisation / memory stay below these fractions. Buffer
-  /// bytes land on consumer tiles (which host the consumer process), so a
-  /// process-free tile is normally byte-free too; the slack tolerates
-  /// rounding and exotic bookkeeping.
-  double free_utilization_max = 1e-9;
+  /// A tile belongs to a *free region* when it hosts no process, books no
+  /// utilisation, and its committed memory stays below this fraction.
+  /// Buffer bytes land on consumer tiles (which host the consumer
+  /// process), so a process-free tile is normally byte-free too; the
+  /// fraction tolerates exotic bookkeeping.
   double free_memory_fraction_max = 0.05;
 };
 

@@ -95,22 +95,21 @@ namespace {
 // tiles and links one mapping touches instead of copying the whole
 // platform-sized state: the check is O(processes + channels x path length),
 // independent of the platform. Linear scans beat hashing at these sizes
-// (tens of entries). The accumulators replicate the float association order
-// of sequential reserve calls exactly — seed with the base value, compare
-// `current + extra` against the same bound, then `current += extra` — so
-// the verdict is bit-identical to the old copy-based probe and
-// mapping_fits() still implies commit_mapping() succeeds.
+// (tens of entries). The accumulators book the same quantized units as
+// sequential reserve calls and compare them against the same bounds, so
+// the verdict is exactly the commit's: mapping_fits() implies
+// commit_mapping() succeeds.
 
 struct TileProbe {
   std::uint32_t tile;
-  double util;
+  UtilUnits util;
   std::uint64_t mem;
   std::uint32_t procs;
 };
 
 struct LinkProbe {
   std::uint32_t link;
-  double reserved;
+  RateUnits reserved;
 };
 
 TileProbe& probe_tile(std::vector<TileProbe>& tiles, const ResourceState& base,
@@ -118,7 +117,7 @@ TileProbe& probe_tile(std::vector<TileProbe>& tiles, const ResourceState& base,
   for (TileProbe& t : tiles) {
     if (t.tile == tile.value()) return t;
   }
-  tiles.push_back({tile.value(), base.utilization(tile),
+  tiles.push_back({tile.value(), base.utilization_units(tile),
                    base.memory_used(tile), base.processes_hosted(tile)});
   return tiles.back();
 }
@@ -128,7 +127,7 @@ LinkProbe& probe_link(std::vector<LinkProbe>& links, const ResourceState& base,
   for (LinkProbe& l : links) {
     if (l.link == link.value()) return l;
   }
-  links.push_back({link.value(), base.links().reserved(link)});
+  links.push_back({link.value(), base.links().reserved_units(link)});
   return links.back();
 }
 
@@ -138,14 +137,15 @@ bool probe_reserve_tile(std::vector<TileProbe>& tiles,
                         const ResourceState& base, TileId tile, double util,
                         std::uint64_t mem, std::uint32_t procs) {
   if (!(util >= 0.0)) return false;  // commit's require(); also rejects NaN
+  const UtilUnits units = quantize_utilization(util);
   TileProbe& t = probe_tile(tiles, base, tile);
   const arch::Tile& spec = base.platform().tile(tile);
-  if (t.util + util > 1.0 + ResourceState::kUtilSlack) return false;
+  if (t.util + units > kFullTile) return false;
   if (t.procs + procs > spec.process_slots) return false;
   const std::uint64_t free =
       t.mem >= spec.memory_bytes ? 0 : spec.memory_bytes - t.mem;
   if (mem > free) return false;
-  t.util += util;
+  t.util += units;
   t.mem += mem;
   t.procs += procs;
   return true;
@@ -158,21 +158,15 @@ bool probe_reserve_path(std::vector<LinkProbe>& links,
                         const ResourceState& base, const noc::Path& path,
                         double demand) {
   if (!(demand >= 0.0)) return false;
-  const arch::Platform& platform = base.platform();
+  const RateUnits units = quantize_rate(demand);
   for (const LinkId link : path.links) {
     const LinkProbe& l = probe_link(links, base, link);
-    const double cap = platform.link(link).capacity_tokens_per_s;
-    if (l.reserved + demand > cap * (1.0 + noc::LinkLoad::kSlack)) {
-      return false;
-    }
+    if (l.reserved + units > base.links().capacity_units(link)) return false;
   }
   for (const LinkId link : path.links) {
     LinkProbe& l = probe_link(links, base, link);
-    const double cap = platform.link(link).capacity_tokens_per_s;
-    if (l.reserved + demand > cap * (1.0 + noc::LinkLoad::kSlack)) {
-      return false;
-    }
-    l.reserved += demand;
+    if (l.reserved + units > base.links().capacity_units(link)) return false;
+    l.reserved += units;
   }
   return true;
 }

@@ -19,8 +19,7 @@ namespace rtsm::core {
 /// the ordered delta list produced by diff_mappings(); applying the list
 /// transfers exactly the difference between the two bookings, and rolling
 /// the applied prefix back in reverse order restores the original state
-/// bit-for-bit (modulo floating-point re-accumulation, which the
-/// ResourceState comparisons already tolerate).
+/// exactly (the books are fixed-point integers).
 struct MappingDelta {
   enum class Kind {
     /// Re-assign one process: tile and/or implementation change. Transfers

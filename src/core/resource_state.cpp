@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "util/approx.hpp"
 #include "util/error.hpp"
 
 namespace rtsm::core {
@@ -20,7 +19,7 @@ std::uint64_t next_uid() {
 
 ResourceState::ResourceState(const arch::Platform& platform)
     : platform_(&platform),
-      utilization_(platform.tile_count(), 0.0),
+      utilization_(platform.tile_count(), 0),
       memory_used_(platform.tile_count(), 0),
       processes_(platform.tile_count(), 0),
       links_(platform),
@@ -60,6 +59,10 @@ ResourceState& ResourceState::operator=(const ResourceState& other) {
 }
 
 double ResourceState::utilization(TileId tile) const {
+  return utilization_of(utilization_units(tile));
+}
+
+UtilUnits ResourceState::utilization_units(TileId tile) const {
   check_tile(tile);
   return utilization_[tile.value()];
 }
@@ -85,9 +88,8 @@ bool ResourceState::tile_fits(TileId tile, double extra_utilization,
                               std::uint64_t extra_memory,
                               std::uint32_t extra_processes) const {
   check_tile(tile);
-  if (utilization_[tile.value()] + extra_utilization > 1.0 + kUtilSlack) {
-    return false;
-  }
+  const UtilUnits units = quantize_utilization(extra_utilization);
+  if (utilization_[tile.value()] + units > kFullTile) return false;
   if (processes_[tile.value()] + extra_processes >
       platform_->tile(tile).process_slots) {
     return false;
@@ -98,60 +100,56 @@ bool ResourceState::tile_fits(TileId tile, double extra_utilization,
 void ResourceState::reserve_tile(TileId tile, double utilization,
                                  std::uint64_t memory,
                                  std::uint32_t processes) {
-  require(utilization >= 0.0, "negative utilization reservation");
   if (!tile_fits(tile, utilization, memory, processes)) {
     // Branch before formatting: building the message eagerly would cost a
     // heap allocation per reserve on the journal-replay hot path.
     throw Error("tile over-reservation on '" + platform_->tile(tile).name +
                 "'");
   }
-  utilization_[tile.value()] += utilization;
+  const UtilUnits units = quantize_utilization(utilization);
+  utilization_[tile.value()] += units;
   memory_used_[tile.value()] += memory;
   processes_[tile.value()] += processes;
-  note_mutation({JournalEntry::Op::ReserveTile, tile.value(), utilization,
-                 memory, processes});
+  note_mutation(
+      {JournalEntry::Op::ReserveTile, tile.value(), units, memory, processes});
 }
 
 void ResourceState::release_tile(TileId tile, double utilization,
                                  std::uint64_t memory,
                                  std::uint32_t processes) {
   check_tile(tile);
-  double& u = utilization_[tile.value()];
-  u = u > utilization ? u - utilization : 0.0;
-  std::uint64_t& m = memory_used_[tile.value()];
-  m = m > memory ? m - memory : 0;
-  std::uint32_t& p = processes_[tile.value()];
-  p = p > processes ? p - processes : 0;
-  note_mutation({JournalEntry::Op::ReleaseTile, tile.value(), utilization,
-                 memory, processes});
+  const UtilUnits units = quantize_utilization(utilization);
+  const std::size_t i = tile.value();
+  if (units > utilization_[i] || memory > memory_used_[i] ||
+      processes > processes_[i]) {
+    throw Error("tile over-release on '" + platform_->tile(tile).name + "'");
+  }
+  utilization_[i] -= units;
+  memory_used_[i] -= memory;
+  processes_[i] -= processes;
+  note_mutation(
+      {JournalEntry::Op::ReleaseTile, tile.value(), units, memory, processes});
 }
 
 void ResourceState::saturate_tile(TileId tile) {
   check_tile(tile);
-  utilization_[tile.value()] = 1.0;
+  utilization_[tile.value()] = kFullTile;
   memory_used_[tile.value()] = platform_->tile(tile).memory_bytes;
   processes_[tile.value()] = platform_->tile(tile).process_slots;
-  note_mutation({JournalEntry::Op::SaturateTile, tile.value(), 0.0, 0, 0});
+  note_mutation({JournalEntry::Op::SaturateTile, tile.value(), 0, 0, 0});
 }
 
-bool ResourceState::approx_equals(const ResourceState& other,
-                                  double rel_eps) const {
-  if (platform_ != other.platform_) return false;
-  if (memory_used_ != other.memory_used_ || processes_ != other.processes_) {
-    return false;
-  }
-  for (std::size_t i = 0; i < utilization_.size(); ++i) {
-    if (!approx_equal(utilization_[i], other.utilization_[i], rel_eps)) {
-      return false;
-    }
-  }
-  return links_.approx_equals(other.links_, rel_eps);
+bool ResourceState::operator==(const ResourceState& other) const {
+  return platform_ == other.platform_ &&
+         utilization_ == other.utilization_ &&
+         memory_used_ == other.memory_used_ &&
+         processes_ == other.processes_ && links_ == other.links_;
 }
 
 std::size_t ResourceState::idle_tile_count() const {
   std::size_t idle = 0;
-  for (const double u : utilization_) {
-    if (u == 0.0) ++idle;
+  for (const UtilUnits u : utilization_) {
+    if (u == 0) ++idle;
   }
   return idle;
 }
@@ -177,22 +175,24 @@ void ResourceState::note_mutation(const JournalEntry& entry) {
 
 void ResourceState::apply(const JournalEntry& entry) {
   switch (entry.op) {
+    // A booked utilisation is at most kFullTile units, so utilization_of()
+    // is exact and quantizes back to the journaled units.
     case JournalEntry::Op::ReserveTile:
-      reserve_tile(TileId{entry.index}, entry.amount, entry.memory,
-                   entry.processes);
+      reserve_tile(TileId{entry.index}, utilization_of(entry.amount),
+                   entry.memory, entry.processes);
       break;
     case JournalEntry::Op::ReleaseTile:
-      release_tile(TileId{entry.index}, entry.amount, entry.memory,
-                   entry.processes);
+      release_tile(TileId{entry.index}, utilization_of(entry.amount),
+                   entry.memory, entry.processes);
       break;
     case JournalEntry::Op::SaturateTile:
       saturate_tile(TileId{entry.index});
       break;
     case JournalEntry::Op::LinkReserve:
-      links_.reserve(LinkId{entry.index}, entry.amount);
+      links_.reserve_units(LinkId{entry.index}, entry.amount);
       break;
     case JournalEntry::Op::LinkRelease:
-      links_.release(LinkId{entry.index}, entry.amount);
+      links_.release_units(LinkId{entry.index}, entry.amount);
       break;
   }
 }
@@ -209,10 +209,11 @@ void ResourceState::refresh_snapshot_into(ResourceState& scratch) const {
     ++refresh_stats_.full_copies;
     return;
   }
-  // Replay [scratch.synced_version_, version_) through the same public
-  // mutators that produced the entries. By induction the scratch tracks the
-  // source bit-for-bit: identical pre-state, identical arguments, identical
-  // code path. Replay clears the scratch's token, so re-arm it afterwards.
+  // Replay [scratch.synced_version_, version_) through the same mutators
+  // that produced the entries, with the exact amounts they booked. By
+  // induction the scratch tracks the source bit-for-bit: identical
+  // pre-state, identical arguments, identical code path. Replay clears the
+  // scratch's token, so re-arm it afterwards.
   for (std::uint64_t v = scratch.synced_version_; v < version_; ++v) {
     scratch.apply(journal_[v % journal_capacity_]);
     ++refresh_stats_.entries_replayed;
@@ -223,11 +224,11 @@ void ResourceState::refresh_snapshot_into(ResourceState& scratch) const {
   ++refresh_stats_.delta_refreshes;
 }
 
-void ResourceState::on_link_reserve(LinkId link, double demand) {
+void ResourceState::on_link_reserve(LinkId link, RateUnits demand) {
   note_mutation({JournalEntry::Op::LinkReserve, link.value(), demand, 0, 0});
 }
 
-void ResourceState::on_link_release(LinkId link, double demand) {
+void ResourceState::on_link_release(LinkId link, RateUnits demand) {
   note_mutation({JournalEntry::Op::LinkRelease, link.value(), demand, 0, 0});
 }
 

@@ -7,6 +7,7 @@
 #include "arch/platform.hpp"
 #include "kpn/application.hpp"
 #include "noc/link_load.hpp"
+#include "util/fixed_point.hpp"
 #include "util/ids.hpp"
 
 namespace rtsm::core {
@@ -30,7 +31,8 @@ struct RefreshStats {
 /// platform, which is exactly the paper's motivation: at run time the actual
 /// set of running applications is known, so a new application is fitted into
 /// the *remaining* capacity. Tracks per-tile compute utilisation (fraction of
-/// the period spent executing) and memory, plus all NoC link reservations.
+/// the period spent executing) and memory, plus all NoC link reservations,
+/// in exact fixed-point units (util/fixed_point.hpp).
 ///
 /// Every mutation — tile reserve/release/saturate and, via an internal
 /// LinkLoad listener, every link reserve/release — bumps a monotonic
@@ -40,11 +42,6 @@ struct RefreshStats {
 /// the scratch's version instead of copying the whole platform-sized value.
 class ResourceState : private noc::LinkLoadListener {
  public:
-  /// Tolerates float accumulation when many small reservations sum to ~1.0.
-  /// Public so out-of-state admission probes (core::mapping_fits) can
-  /// replicate tile_fits() bit-for-bit without a state copy.
-  static constexpr double kUtilSlack = 1e-9;
-
   explicit ResourceState(const arch::Platform& platform);
 
   /// Copies the residual bookkeeping and marks the copy as synced with
@@ -66,6 +63,9 @@ class ResourceState : private noc::LinkLoadListener {
   /// Fraction of the tile's time already committed (0 = idle, 1 = full).
   [[nodiscard]] double utilization(TileId tile) const;
 
+  /// The exact books behind utilization(), in quantize_utilization() units.
+  [[nodiscard]] UtilUnits utilization_units(TileId tile) const;
+
   /// Bytes of tile-local memory already committed.
   [[nodiscard]] std::uint64_t memory_used(TileId tile) const;
 
@@ -83,8 +83,11 @@ class ResourceState : private noc::LinkLoadListener {
                                std::uint64_t extra_memory,
                                std::uint32_t extra_processes = 1) const;
 
+  /// Books the amounts on @p tile; throws rtsm::Error when they do not fit.
   void reserve_tile(TileId tile, double utilization, std::uint64_t memory,
                     std::uint32_t processes = 1);
+  /// Exact inverse of reserve_tile() with the same arguments; throws
+  /// rtsm::Error when more is released than the tile books.
   void release_tile(TileId tile, double utilization, std::uint64_t memory,
                     std::uint32_t processes = 1);
 
@@ -107,13 +110,14 @@ class ResourceState : private noc::LinkLoadListener {
   /// outside a lease stripe so a mapper can only place within it.
   void saturate_tile(TileId tile);
 
-  /// True when @p other books the same residual resources within a relative
-  /// tolerance of @p rel_eps per tile/link quantity. Utilisation and link
-  /// reservations are floating-point sums whose rounding depends on commit
-  /// order, so concurrent histories are compared approximately; memory and
-  /// process counts must match exactly.
-  [[nodiscard]] bool approx_equals(const ResourceState& other,
-                                   double rel_eps = 1e-9) const;
+  /// True when @p other books exactly the same residual resources on the
+  /// same platform (the books only: not identity, version or journal).
+  [[nodiscard]] bool operator==(const ResourceState& other) const;
+
+  /// Exact alias of operator==, kept for callers from the float-book days.
+  [[nodiscard]] bool approx_equals(const ResourceState& other) const {
+    return *this == other;
+  }
 
   // ------------------------------------------------ versioning & journal --
 
@@ -147,11 +151,11 @@ class ResourceState : private noc::LinkLoadListener {
   /// @p scratch was last synced from this very object (and not mutated
   /// since) and the journal still covers its version, only the journaled
   /// deltas are replayed — O(mutations since last sync), not O(platform).
-  /// Every delta replays through the same public mutators that produced it,
-  /// so a refreshed scratch is bit-identical to a full copy (asserted by
-  /// the hot-path test suite). Falls back to a plain full copy otherwise.
-  /// Must be called under the same lock that guards mutations of this
-  /// state.
+  /// Every delta replays the exact amounts it booked through the same
+  /// checks, so a refreshed scratch is bit-identical to a full copy
+  /// (asserted by the hot-path test suite). Falls back to a plain full
+  /// copy otherwise. Must be called under the same lock that guards
+  /// mutations of this state.
   void refresh_snapshot_into(ResourceState& scratch) const;
 
   /// Counters of refresh_snapshot_into() calls on this (source) state.
@@ -179,7 +183,7 @@ class ResourceState : private noc::LinkLoadListener {
     };
     Op op = Op::ReserveTile;
     std::uint32_t index = 0;  ///< Tile or link index.
-    double amount = 0.0;      ///< Utilisation or link demand.
+    std::uint64_t amount = 0;  ///< Utilisation or link demand, in units.
     std::uint64_t memory = 0;
     std::uint32_t processes = 0;
   };
@@ -191,14 +195,14 @@ class ResourceState : private noc::LinkLoadListener {
   /// last synced with. Called after every successful mutation.
   void note_mutation(const JournalEntry& entry);
 
-  /// Replays one journal entry through the public mutators.
+  /// Replays one journal entry through the mutators that made it.
   void apply(const JournalEntry& entry);
 
-  void on_link_reserve(LinkId link, double demand) override;
-  void on_link_release(LinkId link, double demand) override;
+  void on_link_reserve(LinkId link, RateUnits demand) override;
+  void on_link_release(LinkId link, RateUnits demand) override;
 
   const arch::Platform* platform_;
-  std::vector<double> utilization_;
+  std::vector<UtilUnits> utilization_;
   std::vector<std::uint64_t> memory_used_;
   std::vector<std::uint32_t> processes_;
   noc::LinkLoad links_;

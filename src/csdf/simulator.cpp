@@ -323,7 +323,6 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   WinnerTree in_flight(num_actors + fg.delayed.size());
 
   SimulationResult result;
-  result.measured_iterations_used = 0;
   std::uint64_t now = 0;
   // Latency-probe records logged so far (next iteration index of each).
   std::uint64_t src_logged = 0;
@@ -431,17 +430,6 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
     return info;
   };
 
-  // Running period estimate after m_done measured iterations. With
-  // warmup == 0 the window starts at iteration 0, whose "previous
-  // completion" is time 0.
-  auto estimate = [&](std::uint32_t m_done) -> std::uint64_t {
-    const std::uint64_t t_begin =
-        w == 0 ? ref_iter_end[0] : ref_iter_end[w - 1];
-    const std::uint64_t t_end = ref_iter_end[w + m_done - 1];
-    const std::uint32_t spans = w == 0 ? m_done - 1 : m_done;
-    return spans == 0 ? t_begin : (t_end - t_begin + spans - 1) / spans;
-  };
-
   // Periodic fast-forward. Self-timed execution is deterministic, so once
   // the state at a reference-iteration completion recurs, everything
   // between the two occurrences repeats forever, shifted in time: the
@@ -454,9 +442,8 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   // reference iteration and stops short of the event limit. A landing is
   // the same event of the same state, shifted in time, that the
   // firing-by-firing run reaches, with every record before it in place; on
-  // the final iteration the run then ends exactly as that run does. The
-  // adaptive window judges every iteration's own span, so it never skips.
-  bool record_snapshots = !config.adaptive();
+  // the final iteration the run then ends exactly as that run does.
+  bool record_snapshots = true;
   std::vector<Snapshot> snapshots;
   auto take_snapshot = [&](std::uint64_t iter) {
     Snapshot snap;
@@ -532,7 +519,6 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   }
   drain_ready();
 
-  std::uint32_t convergence_streak = 0;
   while (true) {
     const std::uint32_t a = in_flight.top();
     if (!in_flight.busy(a)) {
@@ -579,34 +565,7 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
         std::uint64_t iter = cycles_done[a] / ref_cycles_per_iter - 1;
         if (record_snapshots) iter = fast_forward(iter);
         if (iter < total_iters) ref_iter_end[iter] = now;
-        if (iter + 1 > w) {
-          const auto m_done = static_cast<std::uint32_t>(iter + 1 - w);
-          result.measured_iterations_used = m_done;
-          if (m_done >= m) break;  // full window executed
-          if (config.adaptive() && m_done >= 2) {
-            // Converged when each new iteration's OWN span stays within
-            // epsilon of the running average. Comparing successive
-            // cumulative means instead would always shrink as 1/n and
-            // declare any run "converged" after enough iterations, even
-            // while the period is still oscillating.
-            const std::uint64_t span = ref_iter_end[w + m_done - 1] -
-                                       ref_iter_end[w + m_done - 2];
-            const std::uint64_t cur = estimate(m_done);
-            const std::uint64_t diff = span > cur ? span - cur : cur - span;
-            const double bound = config.convergence_epsilon *
-                                 static_cast<double>(std::max<std::uint64_t>(
-                                     cur, 1));
-            if (static_cast<double>(diff) <= bound) {
-              ++convergence_streak;
-            } else {
-              convergence_streak = 0;
-            }
-            if (convergence_streak >= config.convergence_window) {
-              result.converged_early = true;
-              break;
-            }
-          }
-        }
+        if (iter + 1 >= total_iters) break;  // full window executed
       }
       if (probe && a == probe->sink.value() &&
           cycles_done[a] % sink_cycles_per_iter == 0) {
@@ -637,18 +596,23 @@ SimulationResult simulate(const Graph& graph, const RepetitionVector& rv,
   result.status = SimulationStatus::Completed;
   result.end_time_ps = now;
 
-  const std::uint32_t m_used = result.measured_iterations_used;
-  result.period_ps = estimate(m_used);
+  // Period over the measured window. With warmup == 0 the window starts
+  // at iteration 0, whose "previous completion" is time 0.
+  const std::uint64_t t_begin = w == 0 ? ref_iter_end[0] : ref_iter_end[w - 1];
+  const std::uint64_t t_end = ref_iter_end[total_iters - 1];
+  const std::uint32_t spans = w == 0 ? m - 1 : m;
+  result.period_ps =
+      spans == 0 ? t_begin : (t_end - t_begin + spans - 1) / spans;
 
   std::uint64_t max_span = 0;
-  for (std::uint32_t i = (w == 0 ? 1 : w); i < w + m_used; ++i) {
+  for (std::uint64_t i = (w == 0 ? 1 : w); i < total_iters; ++i) {
     max_span = std::max(max_span, ref_iter_end[i] - ref_iter_end[i - 1]);
   }
   result.max_period_ps = max_span;
 
   if (probe) {
     std::uint64_t worst = 0;
-    for (std::uint32_t i = w; i < w + m_used; ++i) {
+    for (std::uint64_t i = w; i < total_iters; ++i) {
       if (sink_iter_end[i] == 0) continue;  // sink lagging behind reference
       if (sink_iter_end[i] > src_iter_start[i]) {
         worst = std::max(worst, sink_iter_end[i] - src_iter_start[i]);

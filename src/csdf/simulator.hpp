@@ -25,27 +25,11 @@ enum class SimulationStatus {
 struct SimulationConfig {
   /// Iterations to run before measurement starts (reach steady state).
   std::uint32_t warmup_iterations = 8;
-  /// Iterations over which the period is averaged (an upper bound when the
-  /// adaptive window below is enabled).
+  /// Iterations over which the period is averaged.
   std::uint32_t measured_iterations = 16;
   /// Hard cap on firings, guards against runaway multi-rate graphs.
   /// Deliveries on latency edges are not firings and do not count.
   std::uint64_t max_events = 20'000'000;
-
-  /// Adaptive measurement window: when both fields are positive the run
-  /// stops as soon as each new iteration's own span has stayed within
-  /// convergence_epsilon (relative) of the running period estimate for
-  /// convergence_window consecutive measured iterations — instead of
-  /// always executing the full warmup + measured window. The reported
-  /// period then averages over the iterations actually measured.
-  /// Defaults keep the fixed window.
-  std::uint32_t convergence_window = 0;
-  double convergence_epsilon = 0.0;
-
-  /// True when the adaptive early stop is enabled.
-  [[nodiscard]] bool adaptive() const {
-    return convergence_window > 0 && convergence_epsilon > 0.0;
-  }
 };
 
 /// Optional source/sink pair for latency measurement.
@@ -79,14 +63,6 @@ struct SimulationResult {
 
   /// Time of the last processed event, ps.
   std::uint64_t end_time_ps = 0;
-
-  /// Measured iterations actually executed — equal to
-  /// config.measured_iterations unless the adaptive window stopped early.
-  std::uint32_t measured_iterations_used = 0;
-
-  /// True when the adaptive window ended measurement before
-  /// measured_iterations.
-  bool converged_early = false;
 
   /// Human-readable cause for Deadlock / EventLimit.
   std::string message;

@@ -1,8 +1,8 @@
 #include "noc/link_load.hpp"
 
 #include <numeric>
+#include <string>
 
-#include "util/approx.hpp"
 #include "util/error.hpp"
 
 namespace rtsm::noc {
@@ -34,7 +34,7 @@ std::vector<RouterId> Path::routers(const arch::Platform& platform) const {
 }
 
 LinkLoad::LinkLoad(const arch::Platform& platform)
-    : platform_(&platform), reserved_(platform.link_count(), 0.0) {}
+    : platform_(&platform), reserved_(platform.link_count(), 0) {}
 
 LinkLoad::LinkLoad(const LinkLoad& other)
     : platform_(other.platform_), reserved_(other.reserved_) {}
@@ -46,64 +46,63 @@ LinkLoad& LinkLoad::operator=(const LinkLoad& other) {
   return *this;
 }
 
-double LinkLoad::reserved(LinkId link) const {
+RateUnits LinkLoad::reserved_units(LinkId link) const {
   require(link.valid() && link.value() < reserved_.size(),
           "link id out of range");
   return reserved_[link.value()];
 }
 
+RateUnits LinkLoad::capacity_units(LinkId link) const {
+  return quantize_rate(platform_->link(link).capacity_tokens_per_s);
+}
+
+double LinkLoad::reserved(LinkId link) const {
+  return rate_of(reserved_units(link));
+}
+
 double LinkLoad::residual(LinkId link) const {
-  return platform_->link(link).capacity_tokens_per_s - reserved(link);
+  return rate_of(capacity_units(link) - reserved_units(link));
 }
 
 bool LinkLoad::fits(LinkId link, double demand) const {
-  const double cap = platform_->link(link).capacity_tokens_per_s;
-  return reserved(link) + demand <= cap * (1.0 + kSlack);
+  return reserved_units(link) + quantize_rate(demand) <= capacity_units(link);
 }
 
-void LinkLoad::reserve(LinkId link, double demand) {
-  require(demand >= 0, "negative link demand");
-  require(fits(link, demand), "link over-reservation");
+void LinkLoad::reserve_units(LinkId link, RateUnits demand) {
+  require(reserved_units(link) + demand <= capacity_units(link),
+          "link over-reservation");
   reserved_[link.value()] += demand;
   if (listener_ != nullptr) listener_->on_link_reserve(link, demand);
 }
 
-void LinkLoad::release(LinkId link, double demand) {
-  require(demand >= 0, "negative link demand");
-  double& r = reserved_[link.value()];
-  r = r > demand ? r - demand : 0.0;
+void LinkLoad::release_units(LinkId link, RateUnits demand) {
+  require(demand <= reserved_units(link), "link over-release");
+  reserved_[link.value()] -= demand;
   if (listener_ != nullptr) listener_->on_link_release(link, demand);
 }
 
 void LinkLoad::reserve_path(const Path& path, double demand) {
+  const RateUnits units = quantize_rate(demand);
   // Validate the whole path first so a failed reservation is atomic. The
   // message is only formatted on failure — this loop is on the commit hot
   // path.
   for (const LinkId link : path.links) {
-    if (!fits(link, demand)) {
+    if (reserved_units(link) + units > capacity_units(link)) {
       throw Error("path over-reservation on link " +
                   std::to_string(link.value()));
     }
   }
-  for (const LinkId link : path.links) reserve(link, demand);
+  for (const LinkId link : path.links) reserve_units(link, units);
 }
 
 void LinkLoad::release_path(const Path& path, double demand) {
-  for (const LinkId link : path.links) release(link, demand);
+  const RateUnits units = quantize_rate(demand);
+  for (const LinkId link : path.links) release_units(link, units);
 }
 
 double LinkLoad::total_reserved() const {
-  return std::accumulate(reserved_.begin(), reserved_.end(), 0.0);
-}
-
-bool LinkLoad::approx_equals(const LinkLoad& other, double rel_eps) const {
-  if (platform_ != other.platform_) return false;
-  for (std::size_t i = 0; i < reserved_.size(); ++i) {
-    if (!approx_equal(reserved_[i], other.reserved_[i], rel_eps)) {
-      return false;
-    }
-  }
-  return true;
+  return rate_of(std::accumulate(reserved_.begin(), reserved_.end(),
+                                 RateUnits{0}));
 }
 
 }  // namespace rtsm::noc

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "arch/platform.hpp"
+#include "util/fixed_point.hpp"
 #include "util/ids.hpp"
 
 namespace rtsm::noc {
@@ -39,22 +40,18 @@ struct Path {
 class LinkLoadListener {
  public:
   virtual ~LinkLoadListener() = default;
-  virtual void on_link_reserve(LinkId link, double demand) = 0;
-  virtual void on_link_release(LinkId link, double demand) = 0;
+  virtual void on_link_reserve(LinkId link, RateUnits demand) = 0;
+  virtual void on_link_release(LinkId link, RateUnits demand) = 0;
 };
 
 /// Guaranteed-throughput reservation state of all NoC links.
 ///
 /// Tracks the token rate reserved on every link; routing only considers
 /// links whose residual capacity covers a channel's demand, which is how the
-/// predictable NoC of the paper admits new connections.
+/// predictable NoC of the paper admits new connections. Rates are booked in
+/// exact fixed-point units (quantize_rate).
 class LinkLoad {
  public:
-  /// Relative slack tolerating float accumulation across many reservations.
-  /// Public so out-of-state admission probes (core::mapping_fits) can
-  /// replicate fits() bit-for-bit without a state copy.
-  static constexpr double kSlack = 1e-9;
-
   explicit LinkLoad(const arch::Platform& platform);
 
   /// Copies reservations but not the listener: a snapshot observes nobody.
@@ -71,16 +68,27 @@ class LinkLoad {
   /// Capacity still available on @p link, tokens per second.
   [[nodiscard]] double residual(LinkId link) const;
 
-  /// True when @p demand tokens/s fit on @p link (with relative slack for
-  /// floating-point accumulation).
+  /// True when @p demand tokens/s fit on @p link.
   [[nodiscard]] bool fits(LinkId link, double demand) const;
 
   /// Adds @p demand to the link's reservation. Throws rtsm::Error when the
   /// reservation would exceed capacity.
-  void reserve(LinkId link, double demand);
+  void reserve(LinkId link, double demand) {
+    reserve_units(link, quantize_rate(demand));
+  }
 
-  /// Removes @p demand from the link's reservation (clamped at zero).
-  void release(LinkId link, double demand);
+  /// Removes @p demand from the link's reservation. Throws rtsm::Error when
+  /// more is released than is reserved.
+  void release(LinkId link, double demand) {
+    release_units(link, quantize_rate(demand));
+  }
+
+  /// The exact books behind the double API: reserved rate, capacity and
+  /// reserve() / release() of @p link, in quantize_rate() units.
+  [[nodiscard]] RateUnits reserved_units(LinkId link) const;
+  [[nodiscard]] RateUnits capacity_units(LinkId link) const;
+  void reserve_units(LinkId link, RateUnits demand);
+  void release_units(LinkId link, RateUnits demand);
 
   /// Reserves @p demand on every link of @p path.
   void reserve_path(const Path& path, double demand);
@@ -91,11 +99,10 @@ class LinkLoad {
   /// Sum of reserved rate over all links (a congestion metric).
   [[nodiscard]] double total_reserved() const;
 
-  /// True when every link's reservation matches @p other within a relative
-  /// tolerance (see ResourceState::approx_equals for why reservations made
-  /// in different orders can only be compared approximately).
-  [[nodiscard]] bool approx_equals(const LinkLoad& other,
-                                   double rel_eps = 1e-9) const;
+  /// Same platform and the same reservation on every link.
+  [[nodiscard]] bool operator==(const LinkLoad& other) const {
+    return platform_ == other.platform_ && reserved_ == other.reserved_;
+  }
 
   /// Registers @p listener for reserve/release notifications (null to
   /// unregister). Exactly one listener; not owned.
@@ -103,7 +110,7 @@ class LinkLoad {
 
  private:
   const arch::Platform* platform_;
-  std::vector<double> reserved_;
+  std::vector<RateUnits> reserved_;
   LinkLoadListener* listener_ = nullptr;
 };
 

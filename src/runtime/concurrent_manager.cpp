@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <string>
@@ -125,6 +126,12 @@ ConcurrentRuntimeManager::ConcurrentRuntimeManager(
     for (std::uint32_t s = 0; count >= 2 && s < count; ++s) {
       stripes_.push_back(std::make_unique<Stripe>());
     }
+    for (const TileId tid : platform.tile_ids()) {
+      if (stripes_.empty()) break;  // a one-column mesh: no leases
+      Stripe& stripe = *stripes_[stripe_of(tid)];
+      stripe.tiles.insert(platform.tile(tid).name);
+      stripe.types.insert(platform.tile_type(platform.tile(tid).type).name);
+    }
   }
 
   workers_.reserve(options_.workers);
@@ -168,7 +175,7 @@ std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
     // a full queue would deadlock this thread. Make room by pumping.
     while (!queue_.try_push(std::move(job))) {
       if (queue_.closed()) {
-        reject_shut_down(std::move(job.request));
+        reject(std::move(job.request), "manager is shut down");
         return future;
       }
       pump();
@@ -176,7 +183,7 @@ std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
     return future;
   }
   if (!queue_.push(std::move(job))) {
-    reject_shut_down(std::move(job.request));
+    reject(std::move(job.request), "manager is shut down");
   }
   return future;
 }
@@ -190,13 +197,13 @@ void ConcurrentRuntimeManager::resolve_deadline_miss(Request request) {
   resolve(std::move(request), std::move(outcome));
 }
 
-void ConcurrentRuntimeManager::reject_shut_down(Request request) {
+void ConcurrentRuntimeManager::reject(Request request, std::string failure) {
   AdmitOutcome outcome;
   outcome.request = request.id;
   outcome.status = AdmitStatus::Rejected;
   outcome.attempts = request.attempts;
   outcome.mapping_us = request.mapping_us;
-  outcome.mapping.failure = "manager is shut down";
+  outcome.mapping.failure = std::move(failure);
   resolve(std::move(request), std::move(outcome));
 }
 
@@ -273,7 +280,17 @@ void ConcurrentRuntimeManager::process_batch(std::vector<Request> batch,
                      return a.id < b.id;
                    });
   for (Request& request : batch) {
-    process_request(std::move(request), scratch);
+    // A throwing mapper must neither end a worker thread (std::terminate)
+    // nor escape a pump() caller with the request's promise broken and its
+    // in-flight count stranded: the request is rejected with the exception
+    // text. The attempt's Booking and Lease released themselves meanwhile.
+    try {
+      process_request(request, scratch);
+    } catch (const std::exception& e) {
+      reject(std::move(request), e.what());
+    } catch (...) {
+      reject(std::move(request), "planning threw a non-standard exception");
+    }
   }
 }
 
@@ -507,24 +524,36 @@ void ConcurrentRuntimeManager::masked_snapshot_into(
   }
 }
 
-std::optional<std::size_t> ConcurrentRuntimeManager::lock_free_stripe()
-    RTSM_NO_THREAD_SAFETY_ANALYSIS {
+std::optional<std::size_t> ConcurrentRuntimeManager::lock_free_stripe(
+    const kpn::Application& app) RTSM_NO_THREAD_SAFETY_ANALYSIS {
+  // Only stripes that can host the app at all: a tile of some
+  // implementation's type for every process, and every pinned tile.
+  const auto can_host = [&](const Stripe& s) {
+    return std::ranges::all_of(app.process_ids(), [&](ProcessId pid) {
+      const kpn::Process& p = app.process(pid);
+      if (p.is_fixture()) return s.tiles.contains(*p.pinned_tile);
+      return std::ranges::any_of(p.implementations, [&](const auto& im) {
+        return s.types.contains(im.tile_type);
+      });
+    });
+  };
+  std::vector<std::size_t> order;
+  for (std::size_t s = 0; s < stripes_.size(); ++s) {
+    if (can_host(*stripes_[s])) order.push_back(s);
+  }
+  if (order.empty()) return std::nullopt;
   std::vector<double> load(stripes_.size(), 0.0);
-  std::vector<std::size_t> tiles(stripes_.size(), 0);
   {
     // One O(tiles) scan under the state lock per leased attempt.
     const audit::LockGuard lock(state_mutex_);
     for (const TileId tid : platform_->tile_ids()) {
-      const std::size_t s = stripe_of(tid);
-      load[s] += core::tile_occupancy(state_, tid);
-      ++tiles[s];
+      load[stripe_of(tid)] += core::tile_occupancy(state_, tid);
     }
   }
-  std::vector<std::size_t> order(stripes_.size());
-  for (std::size_t s = 0; s < order.size(); ++s) {
-    load[s] = tiles[s] == 0 ? std::numeric_limits<double>::infinity()
-                            : load[s] / static_cast<double>(tiles[s]);
-    order[s] = s;
+  for (const std::size_t s : order) {
+    const std::size_t tiles = stripes_[s]->tiles.size();  // unique names
+    load[s] = tiles == 0 ? std::numeric_limits<double>::infinity()
+                         : load[s] / static_cast<double>(tiles);
   }
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
                                                    std::size_t b) {
@@ -540,7 +569,7 @@ std::optional<std::size_t> ConcurrentRuntimeManager::lock_free_stripe()
 
 bool ConcurrentRuntimeManager::try_lease_admit(Request& request,
                                                core::ResourceState& scratch) {
-  const std::optional<std::size_t> stripe = lock_free_stripe();
+  const std::optional<std::size_t> stripe = lock_free_stripe(*request.app);
   if (!stripe) {
     const audit::LockGuard lock(stats_mutex_);
     ++stats_.lease_fallbacks;
@@ -631,7 +660,7 @@ bool ConcurrentRuntimeManager::try_shape_admit(Request& request,
 }
 
 void ConcurrentRuntimeManager::process_request(
-    Request request,
+    Request& request,
     core::ResourceState& scratch) RTSM_NO_THREAD_SAFETY_ANALYSIS {
   // Phase 0 — shape-library hot path: instantiate a learned relocatable
   // placement and commit it through the ordinary two-phase commit,
@@ -641,8 +670,9 @@ void ConcurrentRuntimeManager::process_request(
     return;
   }
 
-  // Phase 1 — region lease: plan inside the least-occupied stripe no other
-  // planner holds, so the commit meets no other planner's placement.
+  // Phase 1 — region lease: plan inside the least-occupied stripe that can
+  // host the app and no other planner holds, so the commit meets no other
+  // planner's placement.
   if (!stripes_.empty() && try_lease_admit(request, scratch)) return;
 
   // Phase 2 — whole-platform optimistic loop: map on a snapshot outside
@@ -820,7 +850,7 @@ void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration,
     if (!queued) {
       // Shutting down: the queue refused (job untouched) — give up.
       // No retry is counted: no further mapping attempt will run.
-      reject_shut_down(std::move(job.request));
+      reject(std::move(job.request), "manager is shut down");
       continue;
     }
     const audit::LockGuard lock(stats_mutex_);

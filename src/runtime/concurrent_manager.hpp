@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,11 +76,12 @@ struct ConcurrentOptions {
 /// runs (workers >= 2, portfolio off). The mesh is split into
 /// min(workers + 1, mesh width) vertical stripes, one more than there are
 /// planners, so a planner always finds a stripe no other planner holds.
-/// Each shape-miss attempt try-locks the least-occupied free stripe and
-/// maps on a snapshot with every tile outside it saturated. A booking
-/// mapper ends the lease once its placement is booked in the live state;
-/// any other mapper holds it through its end-of-plan validation. A stripe
-/// that cannot host the application falls back to the whole-platform
+/// Each shape-miss attempt try-locks the least-occupied free stripe that
+/// holds a tile type for every process and every pinned tile, and maps on
+/// a snapshot with every tile outside it saturated. A booking mapper ends
+/// the lease once its placement is booked in the live state; any other
+/// mapper holds it through its end-of-plan validation. A stripe that
+/// cannot host the application falls back to the whole-platform
 /// optimistic loop, so a lease never makes a request less admissible
 /// (stats().lease_admits, stats().lease_fallbacks).
 ///
@@ -92,6 +95,9 @@ struct ConcurrentOptions {
 /// - A retry policy parks failed requests exactly like the serial manager;
 ///   a parked request's future resolves after a later release readmits it,
 ///   or when reject_waiting()/shutdown() gives up on it.
+/// - An exception thrown while a request is planned (by the mapper, say)
+///   rejects that request with the exception text in mapping.failure; it
+///   reaches neither the worker thread nor the pump() caller.
 class ConcurrentRuntimeManager {
  public:
   /// Builds a manager from the unified options surface shared with the
@@ -275,6 +281,10 @@ class ConcurrentRuntimeManager {
     /// One class for every stripe: a planner holds at most one lease, and
     /// only ever try-locks it, so lease locks never nest.
     audit::Mutex mutex{audit::LockRank::kManagerLease, "manager.lease"};
+    /// Names of the stripe's tiles and of their types (fixed at
+    /// construction), which lock_free_stripe() matches an app against.
+    std::set<std::string> tiles;
+    std::set<std::string> types;
   };
 
   /// A planner's hold on one stripe (defined in the .cpp); ends on
@@ -289,7 +299,9 @@ class ConcurrentRuntimeManager {
   /// per-attempt ResourceState copies land in it instead of freshly
   /// allocated snapshots; see stats().snapshot_reuses).
   void process_batch(std::vector<Request> batch, core::ResourceState& scratch);
-  void process_request(Request request, core::ResourceState& scratch);
+  /// Plans @p request and resolves or parks it (moving it away), unless it
+  /// throws; process_batch rejects a request whose planning threw.
+  void process_request(Request& request, core::ResourceState& scratch);
 
   /// Shape-library hot path: probe on @p scratch, commit through
   /// validate_and_commit, re-probe on conflict (bounded by
@@ -309,9 +321,11 @@ class ConcurrentRuntimeManager {
   /// to the whole-platform loop (stats().lease_fallbacks).
   bool try_lease_admit(Request& request, core::ResourceState& scratch);
 
-  /// Try-locks the free stripes in order of live occupancy, least first,
-  /// and returns the one it locked; nullopt when every stripe is held.
-  std::optional<std::size_t> lock_free_stripe();
+  /// Try-locks the free stripes that can host @p app (a tile type for
+  /// every process, and every pinned tile) in order of live occupancy,
+  /// least first, and returns the one it locked; nullopt when every such
+  /// stripe is held, or there is none.
+  std::optional<std::size_t> lock_free_stripe(const kpn::Application& app);
 
   /// One mapping attempt against @p base; updates attempt counters. With
   /// @p booking the mapper may book its placement before step 4.
@@ -410,8 +424,8 @@ class ConcurrentRuntimeManager {
   /// latency sample, resolution order.
   void record_outcome(const Request& request, const AdmitOutcome& outcome);
   void resolve(Request request, AdmitOutcome outcome);
-  /// Resolves @p request as rejected because the manager is shut down.
-  void reject_shut_down(Request request);
+  /// Resolves @p request as rejected with @p failure as the reason.
+  void reject(Request request, std::string failure);
   /// Resolves @p request as a deadline miss of its mapping budget.
   void resolve_deadline_miss(Request request);
 

@@ -622,7 +622,7 @@ bool FleetTarget::replay_matches() const {
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!live.approx_equals(replayed)) return false;
+    if (live != replayed) return false;
   }
   return true;
 }

@@ -340,7 +340,7 @@ bool ScenarioTarget::replay_matches() const {
   for (const AppId id : running_ids()) {
     core::commit_mapping(replayed, *app_of(id), mapping_of(id));
   }
-  return live.approx_equals(replayed);
+  return live == replayed;
 }
 
 std::vector<SettledOutcome> SerialTarget::correlate(

@@ -35,8 +35,6 @@ MappingSignature MappingSignature::of(const kpn::Application& app,
     w.put(key.simulation.warmup_iterations);
     w.put(key.simulation.measured_iterations);
     w.put(key.simulation.max_events);
-    w.put(key.simulation.convergence_window);
-    w.put_double(key.simulation.convergence_epsilon);
 
     // Platform NoC parameters consumed by the expansion.
     w.put(platform.noc().router_latency_ps());

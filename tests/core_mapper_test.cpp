@@ -154,7 +154,8 @@ TEST(SpatialMapper, CommitAndReleaseRoundTrip) {
     EXPECT_EQ(state.memory_used(tid), 0u);
     EXPECT_EQ(state.processes_hosted(tid), 0u);
   }
-  EXPECT_NEAR(state.links().total_reserved(), 0.0, 1e-9);
+  EXPECT_EQ(state.links().total_reserved(), 0.0);
+  EXPECT_TRUE(state == ResourceState(platform));
 }
 
 TEST(SpatialMapper, TraceHasAllSteps) {

@@ -93,10 +93,6 @@ inline SimulationConfig random_config(Rng& rng) {
   cfg.max_events = rng.bernoulli(0.2)
                        ? static_cast<std::uint64_t>(rng.uniform_int(1, 400))
                        : 20'000;
-  if (rng.bernoulli(0.15)) {
-    cfg.convergence_window = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
-    cfg.convergence_epsilon = rng.bernoulli(0.5) ? 0.05 : 0.5;
-  }
   return cfg;
 }
 

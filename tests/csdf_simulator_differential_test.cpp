@@ -3,7 +3,7 @@
 // id), a full rescan of every actor after each completion, and no periodic
 // fast-forward. Seeded random CSDF graphs cover multi-phase and multi-rate
 // actors, zero-WCET phases, bounded and unbounded edges, cycles with and
-// without enough initial tokens, fixed and adaptive windows, warm-up 0,
+// without enough initial tokens, warm-up 0,
 // event limits and latency probes whose sink equals or lags the reference.
 // A second leg gives random edges a latency (Edge::latency_ps); the
 // reference keeps each delivery in transit as a pending event of its own.
@@ -121,16 +121,8 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
     }
   };
 
-  // Period estimate over the first m_done measured iterations.
-  auto estimate = [&](std::uint32_t m_done) -> std::uint64_t {
-    const std::uint64_t t_begin = w == 0 ? ref_end[0] : ref_end[w - 1];
-    const std::uint64_t t_end = ref_end[w + m_done - 1];
-    const std::uint32_t spans = w == 0 ? m_done - 1 : m_done;
-    return spans == 0 ? t_begin : (t_end - t_begin + spans - 1) / spans;
-  };
 
   start_all();
-  std::uint32_t streak = 0;
   while (true) {
     if (in_flight.empty()) {
       result.status = SimulationStatus::Deadlock;
@@ -179,25 +171,7 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
       if (a == reference.value() && cycles[a] % rv.cycles[a] == 0) {
         const std::uint64_t iter = cycles[a] / rv.cycles[a] - 1;
         ref_end[iter] = now;
-        if (iter + 1 > w) {
-          const auto m_done = static_cast<std::uint32_t>(iter + 1 - w);
-          result.measured_iterations_used = m_done;
-          if (m_done >= m) break;
-          if (config.adaptive() && m_done >= 2) {
-            const std::uint64_t span =
-                ref_end[w + m_done - 1] - ref_end[w + m_done - 2];
-            const std::uint64_t cur = estimate(m_done);
-            const std::uint64_t diff = span > cur ? span - cur : cur - span;
-            const double bound =
-                config.convergence_epsilon *
-                static_cast<double>(std::max<std::uint64_t>(cur, 1));
-            streak = static_cast<double>(diff) <= bound ? streak + 1 : 0;
-            if (streak >= config.convergence_window) {
-              result.converged_early = true;
-              break;
-            }
-          }
-        }
+        if (iter + 1 >= w + m) break;
       }
       if (probe && a == probe->sink.value() && cycles[a] % rv.cycles[a] == 0) {
         const std::uint64_t iter = cycles[a] / rv.cycles[a] - 1;
@@ -215,14 +189,18 @@ SimulationResult reference_simulate(const Graph& g, const RepetitionVector& rv,
 
   result.status = SimulationStatus::Completed;
   result.end_time_ps = now;
-  const std::uint32_t used = result.measured_iterations_used;
-  result.period_ps = estimate(used);
-  for (std::uint32_t i = (w == 0 ? 1 : w); i < w + used; ++i) {
+  // Period over the measured window; with warmup == 0 it starts at
+  // iteration 0, whose "previous completion" is time 0.
+  const std::uint64_t t_begin = w == 0 ? ref_end[0] : ref_end[w - 1];
+  const std::uint32_t spans = w == 0 ? m - 1 : m;
+  result.period_ps =
+      spans == 0 ? t_begin : (ref_end[w + m - 1] - t_begin + spans - 1) / spans;
+  for (std::uint32_t i = (w == 0 ? 1 : w); i < w + m; ++i) {
     result.max_period_ps =
         std::max(result.max_period_ps, ref_end[i] - ref_end[i - 1]);
   }
   if (probe) {
-    for (std::uint32_t i = w; i < w + used; ++i) {
+    for (std::uint32_t i = w; i < w + m; ++i) {
       if (sink_end[i] != 0 && sink_end[i] > src_start[i]) {
         result.latency_ps =
             std::max(result.latency_ps, sink_end[i] - src_start[i]);
@@ -240,9 +218,6 @@ void expect_same(const SimulationResult& got, const SimulationResult& want,
   EXPECT_EQ(got.latency_ps, want.latency_ps) << where;
   EXPECT_EQ(got.events, want.events) << where;
   EXPECT_EQ(got.end_time_ps, want.end_time_ps) << where;
-  EXPECT_EQ(got.measured_iterations_used, want.measured_iterations_used)
-      << where;
-  EXPECT_EQ(got.converged_early, want.converged_early) << where;
   EXPECT_EQ(got.message, want.message) << where;
   EXPECT_LE(got.events_skipped, got.events) << where;
 }
@@ -253,7 +228,6 @@ struct LegCounts {
   std::size_t skipped = 0;
   std::size_t deadlocks = 0;
   std::size_t limits = 0;
-  std::size_t adaptive = 0;
   std::size_t latencies = 0;
   std::size_t downstream_sinks = 0;
 };
@@ -290,7 +264,6 @@ LegCounts run_leg(Rng& rng, std::size_t runs,
     c.skipped += got.events_skipped > 0 ? 1 : 0;
     c.deadlocks += want.status == SimulationStatus::Deadlock ? 1 : 0;
     c.limits += want.status == SimulationStatus::EventLimit ? 1 : 0;
-    c.adaptive += cfg.adaptive() ? 1 : 0;
     c.latencies += want.latency_ps > 0 ? 1 : 0;
   }
   return c;
@@ -305,7 +278,6 @@ TEST(SimulatorDifferential, MatchesFiringByFiringReference) {
   EXPECT_GT(c.skipped, c.runs / 4);
   EXPECT_GT(c.deadlocks, 50u);
   EXPECT_GT(c.limits, 50u);
-  EXPECT_GT(c.adaptive, 50u);
   EXPECT_GT(c.latencies, 300u);
   EXPECT_GT(c.downstream_sinks, 100u);
 }
@@ -335,7 +307,6 @@ TEST(SimulatorDifferential, LatencyEdgesMatchFiringByFiringReference) {
   EXPECT_GT(c.skipped, c.runs / 4);
   EXPECT_GT(c.deadlocks, 30u);
   EXPECT_GT(c.limits, 30u);
-  EXPECT_GT(c.adaptive, 30u);
   EXPECT_GT(c.latencies, 200u);
 }
 

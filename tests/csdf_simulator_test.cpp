@@ -174,45 +174,6 @@ TEST(Simulator, PeriodNeverBeatsStructuralBound) {
   EXPECT_GE(sim.period_ps, min_period_bound_ps(g, *rv));
 }
 
-TEST(Simulator, AdaptiveWindowStopsEarlyWithSamePeriod) {
-  // A two-actor pipeline settles into its steady state immediately, so an
-  // adaptive window converges long before the fixed 64-iteration budget —
-  // with the identical period estimate.
-  Graph g;
-  const ActorId p = g.add_actor("P", {100});
-  const ActorId c = g.add_actor("C", {250});
-  g.add_edge(make_edge("e", p, c, {1}, {1}, 4));
-  const auto rv = repetition_vector(g);
-  ASSERT_TRUE(rv);
-
-  SimulationConfig fixed;
-  fixed.warmup_iterations = 4;
-  fixed.measured_iterations = 64;
-  const auto full = simulate(g, *rv, c, fixed);
-  ASSERT_EQ(full.status, SimulationStatus::Completed);
-  EXPECT_EQ(full.measured_iterations_used, 64u);
-  EXPECT_FALSE(full.converged_early);
-
-  SimulationConfig adaptive = fixed;
-  adaptive.convergence_window = 3;
-  adaptive.convergence_epsilon = 0.01;
-  const auto early = simulate(g, *rv, c, adaptive);
-  ASSERT_EQ(early.status, SimulationStatus::Completed);
-  EXPECT_TRUE(early.converged_early);
-  EXPECT_LT(early.measured_iterations_used, 64u);
-  EXPECT_LT(early.events, full.events);
-  EXPECT_EQ(early.period_ps, full.period_ps);
-}
-
-TEST(Simulator, AdaptiveWindowDisabledByDefault) {
-  SimulationConfig config;
-  EXPECT_FALSE(config.adaptive());
-  config.convergence_window = 3;
-  EXPECT_FALSE(config.adaptive());  // needs a positive epsilon too
-  config.convergence_epsilon = 0.01;
-  EXPECT_TRUE(config.adaptive());
-}
-
 TEST(Simulator, WarmupZeroWorks) {
   Graph g;
   const ActorId p = g.add_actor("P", {100});
@@ -288,7 +249,6 @@ TEST(SimulatorGolden, WarmupZeroMultiRateChain) {
   EXPECT_EQ(sim.latency_ps, 970u);
   EXPECT_EQ(sim.end_time_ps, 5440u);
   EXPECT_EQ(sim.events, 116u);
-  EXPECT_EQ(sim.measured_iterations_used, 16u);
   EXPECT_GT(sim.events_skipped, 0u);
 }
 
@@ -372,29 +332,6 @@ TEST(SimulatorGolden, DeadlockAfterProgress) {
             "deadlock; blocked actors: P(no space on 'e') C(needs 2 on 'e')");
   EXPECT_EQ(sim.end_time_ps, 20u);
   EXPECT_EQ(sim.events, 2u);
-}
-
-TEST(SimulatorGolden, AdaptiveWindowUnchanged) {
-  ActorId a;
-  ActorId c;
-  const Graph g = two_token_ring(a, c);
-  const auto rv = repetition_vector(g);
-  ASSERT_TRUE(rv);
-  SimulationConfig cfg;
-  cfg.warmup_iterations = 4;
-  cfg.measured_iterations = 64;
-  cfg.convergence_window = 3;
-  cfg.convergence_epsilon = 0.5;
-  const auto sim = simulate(g, *rv, c, cfg, LatencyProbe{a, c});
-  ASSERT_EQ(sim.status, SimulationStatus::Completed);
-  EXPECT_TRUE(sim.converged_early);
-  EXPECT_EQ(sim.measured_iterations_used, 4u);
-  EXPECT_EQ(sim.period_ps, 30u);
-  EXPECT_EQ(sim.max_period_ps, 40u);
-  EXPECT_EQ(sim.latency_ps, 60u);
-  EXPECT_EQ(sim.end_time_ps, 260u);
-  EXPECT_EQ(sim.events, 25u);
-  EXPECT_EQ(sim.events_skipped, 0u);
 }
 
 TEST(SimulatorGolden, PlainPipeline) {

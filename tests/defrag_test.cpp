@@ -135,7 +135,7 @@ TEST(MappingDelta, DiffApplyReachesTargetAndRollbackRestores) {
   EXPECT_TRUE(core::diff_mappings(app, live, plan_b.mapping).empty());
   core::ResourceState expect_b(platform);
   core::commit_mapping(expect_b, app, plan_b.mapping);
-  EXPECT_TRUE(state.approx_equals(expect_b));
+  EXPECT_TRUE(state == expect_b);
 
   for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
     core::rollback_delta(state, app, live, *it);
@@ -143,7 +143,7 @@ TEST(MappingDelta, DiffApplyReachesTargetAndRollbackRestores) {
   EXPECT_TRUE(core::diff_mappings(app, live, plan_a.mapping).empty());
   core::ResourceState expect_a(platform);
   core::commit_mapping(expect_a, app, plan_a.mapping);
-  EXPECT_TRUE(state.approx_equals(expect_a));
+  EXPECT_TRUE(state == expect_a);
 }
 
 TEST(MappingDelta, ApplyIsAtomicWhenTargetDoesNotFit) {
@@ -170,7 +170,7 @@ TEST(MappingDelta, ApplyIsAtomicWhenTargetDoesNotFit) {
 
   core::Mapping live = plan.mapping;
   EXPECT_FALSE(core::apply_delta(state, app, live, move));
-  EXPECT_TRUE(state.approx_equals(before));
+  EXPECT_TRUE(state == before);
   EXPECT_EQ(live.tile_of(stage), plan.mapping.tile_of(stage));
 }
 
@@ -236,7 +236,7 @@ TEST(DefragPlanner, PassCompactsScatteredRowAndKeepsBookkeepingExact) {
 
   // Oracle: the live state equals a serial replay of the migrated
   // mappings, and stats picked the pass up.
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
   EXPECT_EQ(manager.stats().migrations, 1u);
   EXPECT_EQ(manager.stats().defrag_passes, 1u);
 }
@@ -298,7 +298,7 @@ TEST(RuntimeManagerDefrag, OnReleaseThresholdRunsBeforeWakingParked) {
   EXPECT_EQ(stats.parked_woken_by_defrag, 1u);
   EXPECT_GT(stats.last_fragmentation_before,
             stats.last_fragmentation_after);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(RuntimeManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
@@ -345,7 +345,7 @@ TEST(RuntimeManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
   const auto& stats = manager.stats();
   EXPECT_GE(stats.defrag_passes, 1u);
   EXPECT_GE(stats.migrations, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 }  // namespace

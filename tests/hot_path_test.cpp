@@ -1,12 +1,12 @@
 // Admission hot path: delta-refresh snapshots, version-gated commits and
 // the shared NoC route cache. The central claims under test are exactness
-// claims, so — unlike the concurrent-manager suite — the refresh tests
-// compare states *bit for bit* through the public accessors instead of
-// approx_equals: refresh_snapshot_into() must reproduce a full copy, and a
+// claims, so the refresh tests compare states *bit for bit*, accessor by
+// accessor: refresh_snapshot_into() must reproduce a full copy, and a
 // cached route must reproduce the live search.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -39,11 +39,10 @@ std::shared_ptr<const kpn::Application> compute_app(std::uint32_t stages) {
       {.stages = stages, .little_wcet_cc = 400, .with_fixtures = false}));
 }
 
-/// Exact (bitwise, not approximate) equality of two residual states,
-/// observed through the public accessors. This is the contract of
-/// refresh_snapshot_into(): a delta-refreshed scratch replays the source's
-/// own mutation history through the same code paths, so even the
-/// floating-point sums must agree exactly.
+/// Exact equality of two residual states, observed through the public
+/// accessors (operator== with a diagnostic per quantity). This is the
+/// contract of refresh_snapshot_into(): a delta-refreshed scratch replays
+/// the source's own mutation history through the same code paths.
 void expect_bit_identical(const core::ResourceState& a,
                           const core::ResourceState& b) {
   ASSERT_EQ(&a.platform(), &b.platform());
@@ -64,8 +63,8 @@ void expect_bit_identical(const core::ResourceState& a,
 
 /// One random mutation of @p state drawn from all five journaled ops
 /// (tile reserve/release/saturate, link reserve/release). Reservations are
-/// guarded by fits checks (reserve throws on over-booking); releases rely
-/// on the mutators' own clamping, which must replay identically.
+/// guarded by fits checks (reserve throws on over-booking); releases are
+/// capped at what is booked (an over-release throws).
 void random_mutation(core::ResourceState& state, std::mt19937& rng) {
   const arch::Platform& platform = state.platform();
   const std::vector<TileId> tiles = platform.tile_ids();
@@ -84,7 +83,9 @@ void random_mutation(core::ResourceState& state, std::mt19937& rng) {
     const std::uint64_t m = memory(rng);
     if (state.tile_fits(tile, u, m, 0)) state.reserve_tile(tile, u, m, 0);
   } else if (op < 60) {
-    state.release_tile(tiles[tile_pick(rng)], util(rng), memory(rng), 0);
+    const TileId tile = tiles[tile_pick(rng)];
+    state.release_tile(tile, std::min(util(rng), state.utilization(tile)),
+                       std::min(memory(rng), state.memory_used(tile)), 0);
   } else if (op < 63) {
     state.saturate_tile(tiles[tile_pick(rng)]);
   } else if (op < 85) {
@@ -92,7 +93,9 @@ void random_mutation(core::ResourceState& state, std::mt19937& rng) {
     const double d = demand(rng);
     if (state.links().fits(link, d)) state.links().reserve(link, d);
   } else {
-    state.links().release(LinkId{link_pick(rng)}, demand(rng));
+    const LinkId link{link_pick(rng)};
+    state.links().release(link,
+                          std::min(demand(rng), state.links().reserved(link)));
   }
 }
 
@@ -115,15 +118,17 @@ TEST(HotPathRefresh, DeltaRefreshIsBitIdenticalToFullCopy) {
     // A reserve op whose fits-guard failed is a no-op, so a round may
     // leave the version untouched — that is fine, the refresh is then a
     // zero-entry replay. Wrap bursts pair every random op with a release
-    // (which always journals, even when clamped) so the ring is
-    // guaranteed to wrap past the 48-entry capacity.
+    // (which always journals, even of nothing) so the ring is guaranteed
+    // to wrap past the 48-entry capacity.
     const bool wrap_burst = round % 25 == 24;
     const int mutations = wrap_burst ? 50 : gap(rng);
     for (int i = 0; i < mutations; ++i) {
       random_mutation(live, rng);
       if (wrap_burst) {
-        live.release_tile(platform.tile_ids()[i % platform.tile_count()],
-                          0.01, 16, 0);
+        const TileId tile = platform.tile_ids()[i % platform.tile_count()];
+        live.release_tile(tile, std::min(0.01, live.utilization(tile)),
+                          std::min<std::uint64_t>(16, live.memory_used(tile)),
+                          0);
       }
     }
 
@@ -220,7 +225,7 @@ TEST(HotPathGate, GatedManagerMatchesAlwaysValidatingSerialManager) {
     }
   }
 
-  EXPECT_TRUE(gated.state_snapshot().approx_equals(validating.state()))
+  EXPECT_TRUE(gated.state_snapshot() == validating.state())
       << "gated and validating managers booked different residual state";
 
   const AdmissionStats stats = gated.stats();
@@ -256,7 +261,7 @@ TEST(HotPathGate, CommittedMappingsAlwaysFitASerialReplay) {
         << "a committed mapping does not fit a serial replay";
     core::commit_mapping(replayed, *manager.app_of(id), manager.mapping_of(id));
   }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed));
+  EXPECT_TRUE(manager.state_snapshot() == replayed);
 
   const AdmissionStats stats = manager.stats();
   EXPECT_EQ(stats.offered, 48u);
@@ -311,7 +316,7 @@ TEST(HotPathStress, EightThreadChurnDeltaRefreshesAndStaysCoherent) {
   for (const AppId id : manager.running_ids()) {
     core::commit_mapping(replayed, *manager.app_of(id), manager.mapping_of(id));
   }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed))
+  EXPECT_TRUE(manager.state_snapshot() == replayed)
       << "concurrent bookkeeping diverged from a serial replay";
 
   const AdmissionStats stats = manager.stats();

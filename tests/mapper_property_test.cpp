@@ -95,14 +95,8 @@ TEST_P(MapperProperty, CommitReleaseRestoresStateExactly) {
   ResourceState state(inst.platform);
   commit_mapping(state, inst.app, result.mapping);
   release_mapping(state, inst.app, result.mapping);
-  for (const TileId tid : inst.platform.tile_ids()) {
-    // Utilisation bookkeeping is floating point; release leaves at most
-    // rounding residue.
-    EXPECT_NEAR(state.utilization(tid), 0.0, 1e-12);
-    EXPECT_EQ(state.memory_used(tid), 0u);
-    EXPECT_EQ(state.processes_hosted(tid), 0u);
-  }
-  EXPECT_NEAR(state.links().total_reserved(), 0.0, 1e-9);
+  // The books are exact: a release undoes its commit to the last unit.
+  EXPECT_TRUE(state == ResourceState(inst.platform));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapperProperty,

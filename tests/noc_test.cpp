@@ -52,13 +52,15 @@ TEST(LinkLoad, OverReservationThrows) {
   EXPECT_THROW(load.reserve(l, cap * 1.5), Error);
 }
 
-TEST(LinkLoad, ReleaseClampsAtZero) {
+TEST(LinkLoad, OverReleaseThrows) {
   Fixture f;
   LinkLoad load(f.platform);
   const LinkId l{0};
   load.reserve(l, 10.0);
-  load.release(l, 100.0);
-  EXPECT_DOUBLE_EQ(load.reserved(l), 0.0);
+  EXPECT_THROW(load.release(l, 100.0), Error);
+  EXPECT_DOUBLE_EQ(load.reserved(l), 10.0) << "a failed release books nothing";
+  load.release(l, 10.0);
+  EXPECT_TRUE(load == LinkLoad(f.platform));
 }
 
 TEST(Route, SameTileIsEmptyPath) {

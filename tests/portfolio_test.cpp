@@ -175,7 +175,7 @@ void expect_serial_replay_matches(const arch::Platform& platform,
   for (const AppId id : manager.running_ids()) {
     core::commit_mapping(replayed, *manager.app_of(id), manager.mapping_of(id));
   }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed));
+  EXPECT_TRUE(manager.state_snapshot() == replayed);
 }
 
 TEST(Portfolio, ConcurrentRaceFansOutAcrossTheWorkerPool) {

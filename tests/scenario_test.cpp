@@ -196,7 +196,7 @@ TEST(ModeSwitch, InPlaceSwitchKeepsInstanceId) {
 
   // Bookkeeping survives the switch: replaying the surviving commits
   // reproduces the live state.
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(ModeSwitch, SweepsAllModesInPlace) {
@@ -214,7 +214,7 @@ TEST(ModeSwitch, SweepsAllModesInPlace) {
     ASSERT_TRUE(out.status == SwitchStatus::InPlace ||
                 out.status == SwitchStatus::Replanned)
         << workload::kHiperlan2Modes[i].name << ": " << out.message;
-    EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)))
+    EXPECT_TRUE(manager.state() == replay(manager, platform))
         << workload::kHiperlan2Modes[i].name;
   }
   EXPECT_EQ(manager.stats().mode_switches,
@@ -244,8 +244,8 @@ TEST(ModeSwitch, RollsBackOnMisfitKeepingOldMode) {
   EXPECT_EQ(manager.running_count(), 1u);
   EXPECT_EQ(manager.stats().switches_rolled_back, 1u);
   // Old graph still booked, bit-for-bit.
-  EXPECT_TRUE(manager.state().approx_equals(before));
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == before);
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(ModeSwitch, UnknownIdIsRecordedNotFatal) {
@@ -278,8 +278,8 @@ TEST(ModeSwitch, DeadlineMissAbortsKeepingOldMode) {
   EXPECT_EQ(manager.app_of(started.app_id)->name(), old_name);
   EXPECT_EQ(manager.stats().switch_deadline_misses, 1u);
   EXPECT_EQ(manager.stats().mode_switches, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(before));
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == before);
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 
   // A generous deadline changes nothing about the success path.
   const SwitchOutcome ok =
@@ -288,7 +288,7 @@ TEST(ModeSwitch, DeadlineMissAbortsKeepingOldMode) {
               ok.status == SwitchStatus::Replanned)
       << ok.message;
   EXPECT_EQ(manager.stats().switch_deadline_misses, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
@@ -332,7 +332,7 @@ TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].request, parked.request);
   EXPECT_EQ(outcomes[0].status, AdmitStatus::Admitted);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(ModeSwitch, DisplayNamesDistinguishCollidingGraphNames) {
@@ -378,14 +378,14 @@ TEST(Preemption, HighPriorityArrivalEvictsAndVictimIsReparked) {
   EXPECT_GE(stats.preemption_evictions, 1u);
   // Victims re-entered the stream as parked requests.
   EXPECT_EQ(manager.waiting_count(), stats.preemption_evictions);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 
   // Releasing the high-priority app wakes and readmits a victim.
   const std::uint64_t admitted_before = manager.stats().admitted;
   manager.release(high.app_id);
   manager.drain();
   EXPECT_GT(manager.stats().admitted, admitted_before);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state() == replay(manager, platform));
 }
 
 TEST(Preemption, NonPreemptibleAndEqualPriorityAreSafe) {
@@ -440,7 +440,7 @@ TEST(Preemption, ConcurrentManagerEvictsUnderTheStateLock) {
     core::commit_mapping(replayed, *manager.app_of(id),
                          manager.mapping_of(id));
   }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed));
+  EXPECT_TRUE(manager.state_snapshot() == replayed);
   manager.reject_waiting();
 }
 
@@ -611,7 +611,7 @@ TEST(ScenarioStress, EightThreadModeChurn) {
     core::commit_mapping(replayed, *manager.app_of(id),
                          manager.mapping_of(id));
   }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed));
+  EXPECT_TRUE(manager.state_snapshot() == replayed);
 }
 
 }  // namespace
